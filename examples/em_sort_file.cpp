@@ -43,10 +43,10 @@ int main(int argc, char** argv) {
         (dir / ("disk" + std::to_string(disk) + ".bin")).string());
   };
 
-  // Configure mu/gamma with a dry run, then build the simulator with the
-  // file backends (what cgm::SeqEmExec does internally, spelled out here
-  // because of the custom backend).
-  cgm::SortProgram<std::uint64_t, KeyLess> prog;
+  // Configure mu/gamma from the sort's declared requirements (no dry run),
+  // then build the simulator with the file backends (what cgm::SeqEmExec
+  // does internally, spelled out here because of the custom backend).
+  cgm::SortProgram<std::uint64_t, KeyLess> prog{n};
   using State = cgm::SortProgram<std::uint64_t, KeyLess>::State;
   cgm::BlockDist dist{n, cfg.machine.bsp.v};
   auto make_state = [&](std::uint32_t pid) {

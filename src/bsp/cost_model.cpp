@@ -25,6 +25,12 @@ std::uint64_t RunCosts::max_comm_wire() const {
   return m;
 }
 
+std::uint64_t RunCosts::max_exchange_wire() const {
+  std::uint64_t m = 0;
+  for (const auto& s : supersteps) m = std::max(m, exchange_wire(s));
+  return m;
+}
+
 double RunCosts::computation_time(const BspParams& p) const {
   double t = 0;
   for (const auto& s : supersteps) {

@@ -48,6 +48,9 @@ struct RunCosts {
   /// Same, in wire bytes (payload + per-message overhead).
   [[nodiscard]] std::uint64_t max_comm_wire() const;
 
+  /// Max over supersteps of the wire bytes all processors sent together.
+  [[nodiscard]] std::uint64_t max_exchange_wire() const;
+
   /// T_comp under the BSP cost model (work measured in charged operations).
   [[nodiscard]] double computation_time(const BspParams& p) const;
 
@@ -73,6 +76,21 @@ inline constexpr std::uint64_t kWireOverheadPerMessage = 32;
 /// Wire size of one message under that accounting.
 inline std::uint64_t wire_bytes(std::uint64_t payload) {
   return payload + kWireOverheadPerMessage;
+}
+
+/// Wire bytes all processors sent together in one superstep.
+inline std::uint64_t exchange_wire(const SuperstepCost& s) {
+  return s.total_bytes + s.num_messages * kWireOverheadPerMessage;
+}
+
+/// Wire size of `records` records of `record_bytes` bytes each, sent as
+/// `messages` Outbox::send_vector messages (each carries a u64 length
+/// prefix): the building block of the programs' declared gammas.
+inline std::uint64_t vector_wire_bytes(std::uint64_t records,
+                                       std::uint64_t record_bytes,
+                                       std::uint64_t messages) {
+  return records * record_bytes +
+         messages * wire_bytes(sizeof(std::uint64_t));
 }
 
 }  // namespace embsp::bsp

@@ -3,9 +3,9 @@
 // Runs a Program with all v contexts resident in memory and messages moved
 // by pointer swap.  This is the reference semantics: the EM simulators must
 // produce bit-identical per-processor results (tests assert this), and
-// measure_requirements() runs a program here first to learn its mu (max
-// context size), gamma (max per-processor communication per superstep), and
-// lambda (superstep count) before an EM simulation is configured.
+// measure_requirements() runs a program here to learn its mu (max context
+// size), gamma (max per-processor communication per superstep), and lambda
+// (superstep count) when the program does not declare them.
 #pragma once
 
 #include <functional>
@@ -139,14 +139,10 @@ class DirectRuntime {
   }
 };
 
-/// Program requirements measured by a direct dry run: inputs for configuring
-/// an EM simulation of the same program.
-struct Requirements {
-  std::size_t mu = 0;       ///< max context bytes
-  std::uint64_t gamma = 0;  ///< max per-processor comm bytes per superstep
-  std::size_t lambda = 0;   ///< supersteps
-};
-
+/// Program requirements measured by a direct dry run: runs the whole
+/// program in memory.  The EM executors use it only for programs that do
+/// not declare their requirements (DeclaresRequirements); tests use it as
+/// the oracle the declared bounds are checked against.
 template <Program P>
 Requirements measure_requirements(
     const P& prog, std::uint32_t v,
@@ -157,7 +153,7 @@ Requirements measure_requirements(
   auto result = rt.run(
       prog, v, make_state, [](std::uint32_t, typename P::State&) {}, opt);
   return Requirements{result.max_context_bytes, result.gamma(),
-                      result.lambda()};
+                      result.lambda(), result.costs.max_exchange_wire()};
 }
 
 }  // namespace embsp::bsp

@@ -37,6 +37,57 @@ class Dsu {
 
 }  // namespace
 
+bsp::Requirements ComponentsProgram::requirements(std::uint32_t v) const {
+  const std::uint64_t cv = BlockDist{n, v}.chunk();
+  const std::uint64_t ce = BlockDist{m, v}.chunk();
+  // Edges processor 0 gathers: the hook rounds stop at or below the
+  // threshold; each gathered edge adds at most one union.
+  const std::uint64_t g = std::min(resolved_gather_threshold(ce), m);
+  // Forest edges one processor records: one per local vertex it hooks,
+  // plus processor 0's unions; a forest has fewer than n edges.
+  const std::uint64_t forest = std::min(n, cv + g);
+  const auto spread = [v](std::uint64_t records, std::uint64_t bytes) {
+    return bsp::vector_wire_bytes(records, bytes,
+                                  std::min<std::uint64_t>(v, records));
+  };
+  // State: three length-prefixed vectors, then phase, sub and two u32
+  // round counters.
+  const std::size_t mu = 3 * sizeof(std::uint64_t) +
+                         cv * sizeof(std::uint64_t) + ce * sizeof(EdgeRec) +
+                         forest * sizeof(std::uint64_t) + 2 + 2 * 4;
+  const std::uint64_t gamma = std::max({
+      // Label lookups: two queries per edge may all address one processor,
+      // which answers each of them.
+      spread(2 * m, std::max(sizeof(LabelQuery), sizeof(LabelReply))),
+      // Hooks: every edge may hook the same root.
+      spread(m, sizeof(Hook)),
+      // Pointer jumping: one query per vertex, all possibly to one owner.
+      spread(n, std::max(sizeof(JumpQuery), sizeof(JumpReply))),
+      // Gather: edges to processor 0, then its label map to everyone.
+      spread(g, sizeof(GatherEdge)),
+      v * bsp::vector_wire_bytes(std::min(g, n), sizeof(MapEntry), 1),
+      // Counts to processor 0; its decisions to everyone.
+      v * bsp::wire_bytes(sizeof(std::uint64_t)),
+  });
+  // Exchange: the same supersteps summed over all processors.  The query
+  // volume is what gamma's worst case concentrates on one processor, so
+  // exchange stays close to gamma while a group's k*gamma would not.
+  const auto all = [v](std::uint64_t records, std::uint64_t bytes) {
+    return bsp::vector_wire_bytes(
+        records, bytes,
+        std::min(static_cast<std::uint64_t>(v) * v, records));
+  };
+  const std::uint64_t exchange = std::max({
+      all(2 * m, std::max(sizeof(LabelQuery), sizeof(LabelReply))),
+      all(m, sizeof(Hook)),
+      all(n, std::max(sizeof(JumpQuery), sizeof(JumpReply))),
+      all(g, sizeof(GatherEdge)),
+      v * bsp::vector_wire_bytes(std::min(g, n), sizeof(MapEntry), 1),
+      v * bsp::wire_bytes(sizeof(std::uint64_t)),
+  });
+  return bsp::Requirements{mu, gamma, 0, exchange};
+}
+
 void ComponentsProgram::send_label_queries(const bsp::ProcEnv& env, State& s,
                                            bsp::Outbox& out) const {
   BlockDist vdist{n, env.nprocs};
@@ -91,9 +142,7 @@ bool ComponentsProgram::superstep(std::size_t, const bsp::ProcEnv& env,
   BlockDist vdist{n, env.nprocs};
   BlockDist edist{m, env.nprocs};
   const std::uint64_t vfirst = vdist.first(env.pid);
-  const std::uint64_t threshold =
-      gather_threshold != 0 ? gather_threshold
-                            : std::max<std::uint64_t>(2 * edist.chunk(), 64);
+  const std::uint64_t threshold = resolved_gather_threshold(edist.chunk());
 
   switch (s.phase) {
     case kHookLookup:

@@ -105,7 +105,26 @@ struct ComponentsProgram {
   bool superstep(std::size_t, const bsp::ProcEnv& env, State& s,
                  const bsp::Inbox& in, bsp::Outbox& out) const;
 
+  /// Declared bounds for n vertices and m edges over v processors.  A
+  /// processor owns at most ceil(n/v) vertices and ceil(m/v) edges, and
+  /// records one forest edge per vertex it hooks, plus (processor 0) one
+  /// per union in the gather.  Queries and hooks addressed to one vertex
+  /// are not bounded by n/v — every edge of a star asks its centre — so
+  /// gamma is Theta(m): the whole query volume may land on one processor.
+  /// The declared exchange (all processors' traffic in one superstep) is
+  /// Theta(m) as well, which keeps a group's planned receive capacity at
+  /// about gamma instead of k*gamma.  lambda is left 0: the number of hook
+  /// rounds depends on the graph.
+  [[nodiscard]] bsp::Requirements requirements(std::uint32_t v) const;
+
  private:
+  /// Active-edge count at or below which the hook rounds stop and gather.
+  [[nodiscard]] std::uint64_t resolved_gather_threshold(
+      std::uint64_t edge_chunk) const {
+    return gather_threshold != 0
+               ? gather_threshold
+               : std::max<std::uint64_t>(2 * edge_chunk, 64);
+  }
   void send_label_queries(const bsp::ProcEnv& env, State& s,
                           bsp::Outbox& out) const;
   void answer_label_queries(const bsp::ProcEnv& env, State& s,

@@ -1,9 +1,38 @@
 #include "cgm/graph_list_ranking.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <unordered_map>
 
 namespace embsp::cgm {
+
+bsp::Requirements ListRankingProgram::requirements(std::uint32_t v) const {
+  const std::uint64_t c = BlockDist{n, v}.chunk();
+  // Survivors processor 0 gathers: the contraction stops at or below the
+  // threshold.
+  const std::uint64_t g = std::min(resolved_gather_threshold(c), n);
+  const auto spread = [v](std::uint64_t records, std::uint64_t bytes) {
+    return bsp::vector_wire_bytes(records, bytes,
+                                  std::min<std::uint64_t>(v, records));
+  };
+  // State: seven length-prefixed vectors of c entries (five u64, one u8,
+  // one u32), then phase, sub and three u32 round counters.
+  const std::size_t mu = 7 * sizeof(std::uint64_t) +
+                         c * (5 * sizeof(std::uint64_t) + 1 + 4) + 2 + 3 * 4;
+  static_assert(sizeof(Query) <= sizeof(Reply) &&
+                sizeof(RankMsg) <= sizeof(Reply) &&
+                sizeof(GatherNode) <= sizeof(Reply));
+  const std::uint64_t gamma = std::max({
+      // Contraction and expansion: queries, replies, splices and ranks —
+      // at most c per processor each way (one predecessor per node).
+      spread(c, sizeof(Reply)),
+      // Gather: processor 0 receives the survivors and sends their ranks.
+      spread(g, sizeof(GatherNode)),
+      // Active counts to processor 0; its decision to everyone.
+      v * bsp::wire_bytes(sizeof(std::uint64_t)),
+  });
+  return bsp::Requirements{mu, gamma, 0};
+}
 
 bool ListRankingProgram::superstep(std::size_t, const bsp::ProcEnv& env,
                                    State& s, const bsp::Inbox& in,
@@ -128,11 +157,8 @@ bool ListRankingProgram::contract_step(const bsp::ProcEnv& env, State& s,
         for (std::size_t i = 0; i < in.count(); ++i) {
           total += in.value<std::uint64_t>(i);
         }
-        const std::uint64_t threshold =
-            gather_threshold != 0
-                ? gather_threshold
-                : std::max<std::uint64_t>(2 * dist.chunk(), 64);
-        const std::uint8_t decision = total > threshold ? 1 : 0;
+        const std::uint8_t decision =
+            total > resolved_gather_threshold(dist.chunk()) ? 1 : 0;
         for (std::uint32_t q = 0; q < env.nprocs; ++q) {
           out.send_value(q, decision);
         }

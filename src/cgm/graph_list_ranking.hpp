@@ -110,9 +110,23 @@ struct ListRankingProgram {
   bool superstep(std::size_t, const bsp::ProcEnv& env, State& s,
                  const bsp::Inbox& in, bsp::Outbox& out) const;
 
+  /// Declared bounds for n nodes over v processors (c = ceil(n/v) per
+  /// processor).  Contexts never grow, so mu is exact.  Every node has at
+  /// most one predecessor, so no processor receives more than c queries,
+  /// replies or splice notices per superstep; processor 0 gathers at most
+  /// the resolved gather threshold of survivors.  lambda is left 0: the
+  /// number of contraction rounds is randomized.
+  [[nodiscard]] bsp::Requirements requirements(std::uint32_t v) const;
+
   // Implementation helpers (header-defined below to keep the program
   // self-contained for all executors).
  private:
+  /// Survivor count at or below which the contraction stops and gathers.
+  [[nodiscard]] std::uint64_t resolved_gather_threshold(
+      std::uint64_t chunk) const {
+    return gather_threshold != 0 ? gather_threshold
+                                 : std::max<std::uint64_t>(2 * chunk, 64);
+  }
   bool contract_step(const bsp::ProcEnv& env, State& s, const bsp::Inbox& in,
                      bsp::Outbox& out) const;
   bool gather_step(const bsp::ProcEnv& env, State& s, const bsp::Inbox& in,

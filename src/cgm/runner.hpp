@@ -5,9 +5,13 @@
 //   * DirectExec — the in-memory reference runtime,
 //   * SeqEmExec  — the 1-processor EM-BSP* simulator (Algorithm 1),
 //   * ParEmExec  — the p-processor EM-BSP* simulator (Algorithm 3).
-// Each adapter exposes run(prog, v, make_state, collect) -> ExecResult and
-// auto-measures mu/gamma with a direct dry run when the caller has not
-// declared them.
+//   * DistEmExec — one rank of a distributed EM-BSP* run.
+// Each adapter exposes run(prog, v, make_state, collect) -> ExecResult.
+// The EM adapters fill in mu/gamma the caller left unset through
+// autoconfigure(): a program that declares its requirements
+// (bsp::DeclaresRequirements — sort, list ranking, connected components)
+// is configured from the declaration and never dry-runs; any other program
+// is run once on the in-memory direct runtime to measure them.
 #pragma once
 
 #include <optional>
@@ -15,6 +19,7 @@
 #include "bsp/direct_runtime.hpp"
 #include "sim/dist_simulator.hpp"
 #include "sim/par_simulator.hpp"
+#include "sim/requirements.hpp"
 #include "sim/seq_simulator.hpp"
 
 namespace embsp::cgm {
@@ -43,19 +48,26 @@ class DirectExec {
   bsp::DirectRuntime::Options opt_;
 };
 
-/// Fills in mu/gamma by dry-running on the direct runtime if unset.
+/// Fills in whichever of mu/gamma is unset: from the program's declared
+/// requirements when it has them (make_state is not called; a declared
+/// exchange is taken too), otherwise by dry-running it on the direct
+/// runtime, plus sim::with_measured_margin.
 template <bsp::Program P>
 sim::SimConfig autoconfigure(
     sim::SimConfig cfg, const P& prog, std::uint32_t v,
     const std::function<typename P::State(std::uint32_t)>& make_state) {
   cfg.machine.bsp.v = v;
   if (cfg.mu == 0 || cfg.gamma == 0) {
-    const auto req = bsp::measure_requirements(prog, v, make_state);
-    if (cfg.mu == 0) cfg.mu = req.mu + req.mu / 8 + 64;
-    // req.gamma is already in wire bytes (payload + per-message overhead),
-    // the exact quantity the simulators meter; a small margin guards
-    // against rounding.
-    if (cfg.gamma == 0) cfg.gamma = req.gamma + 64;
+    bsp::Requirements req;
+    if constexpr (bsp::DeclaresRequirements<P>) {
+      req = prog.requirements(v);
+      if (cfg.exchange == 0) cfg.exchange = req.exchange;
+    } else {
+      req = sim::with_measured_margin(
+          bsp::measure_requirements(prog, v, make_state));
+    }
+    if (cfg.mu == 0) cfg.mu = req.mu;
+    if (cfg.gamma == 0) cfg.gamma = req.gamma;
   }
   return cfg;
 }
@@ -113,8 +125,9 @@ class ParEmExec {
 /// One rank of a distributed run: every participating process (or loopback
 /// thread) drives the SAME workload code with its own DistEmExec over its
 /// own transport endpoint; the executors stay in lockstep through the
-/// transport's exchanges.  The mu/gamma dry run happens independently on
-/// every rank — it is deterministic, so all ranks derive the same budgets.
+/// transport's exchanges.  Every rank runs autoconfigure() on its own and
+/// derives the same budgets: a declaring program's bounds depend only on
+/// (n, m, v), and the dry run of a non-declaring one is deterministic.
 class DistEmExec {
  public:
   DistEmExec(sim::SimConfig cfg, net::Transport& transport)

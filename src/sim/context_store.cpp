@@ -5,6 +5,7 @@
 #include <string>
 
 #include "em/fault_backend.hpp"
+#include "sim/requirements.hpp"
 
 namespace embsp::sim {
 
@@ -14,10 +15,13 @@ constexpr std::size_t kLenPrefix = sizeof(std::uint32_t);
 
 ContextStore::ContextStore(em::DiskArray& disks, em::TrackAllocators& alloc,
                            std::uint32_t num_contexts,
-                           std::size_t max_context_bytes, bool journaled)
+                           std::size_t max_context_bytes, bool journaled,
+                           std::uint32_t first_vproc)
     : disks_(&disks),
       num_contexts_(num_contexts),
       max_context_bytes_(max_context_bytes),
+      first_vproc_(first_vproc),
+      superstep_(RequirementError::kInit),
       block_size_(disks.block_size()),
       blocks_((max_context_bytes + kLenPrefix + block_size_ - 1) /
               block_size_),
@@ -164,11 +168,9 @@ void ContextStore::write_submit(std::uint32_t first, std::uint32_t count,
     emit(first + i, w);
     const std::size_t payload = io.buf.size() - offset - kLenPrefix;
     if (payload > max_context_bytes_) {
-      throw std::runtime_error(
-          "ContextStore: context of processor " + std::to_string(first + i) +
-          " is " + std::to_string(payload) +
-          " bytes, exceeding the declared mu = " +
-          std::to_string(max_context_bytes_));
+      throw RequirementError(RequirementError::Budget::mu,
+                             first_vproc_ + first + i, superstep_, payload,
+                             max_context_bytes_);
     }
     const auto len = static_cast<std::uint32_t>(payload);
     std::memcpy(io.buf.data() + offset, &len, kLenPrefix);

@@ -43,9 +43,18 @@ class ContextStore {
   /// consistent checkpoint at superstep boundaries (§5.1) even when a write
   /// attempt dies mid-superstep.  Costs 2x context disk space; layout and
   /// I/O counts are otherwise unchanged.
+  ///
+  /// `first_vproc` is the global id of context 0 (nonzero when a real
+  /// processor of a p > 1 run hosts a slice of the virtual processors); it
+  /// only labels RequirementError.
   ContextStore(em::DiskArray& disks, em::TrackAllocators& alloc,
                std::uint32_t num_contexts, std::size_t max_context_bytes,
-               bool journaled = false);
+               bool journaled = false, std::uint32_t first_vproc = 0);
+
+  /// Superstep the next writes belong to (RequirementError::kInit until
+  /// the first call); writes that exceed mu name it in their
+  /// RequirementError.
+  void set_superstep(std::size_t step) { superstep_ = step; }
 
   /// Blocks per context after padding (mu/B, rounded up, incl. the length
   /// prefix).
@@ -163,6 +172,8 @@ class ContextStore {
   em::DiskArray* disks_;
   std::uint32_t num_contexts_;
   std::size_t max_context_bytes_;
+  std::uint32_t first_vproc_;
+  std::size_t superstep_;
   std::size_t block_size_;
   std::uint64_t blocks_;
   std::uint64_t band_;  ///< tracks per context per disk

@@ -67,6 +67,7 @@
 #include "sim/context_store.hpp"
 #include "sim/message_store.hpp"
 #include "sim/obs_hooks.hpp"
+#include "sim/requirements.hpp"
 #include "sim/seq_simulator.hpp"
 #include "sim/sim_config.hpp"
 #include "util/thread_pool.hpp"
@@ -138,15 +139,20 @@ SimResult DistSimulator::run(
   // Same receive-capacity inflation as the ParSimulator (see the comment
   // there): scattering is balanced only in expectation.
   layout.group_capacity = layout.group_capacity * 2 + 4 * p + 4;
+  if (layout.total_capacity != 0) {
+    layout.total_capacity =
+        layout.total_capacity * 2 + layout.num_groups * (4 * p + 4);
+  }
   const auto k = static_cast<std::uint32_t>(layout.k);
   const std::uint32_t rounds = layout.num_groups;
 
   em::TrackAllocators alloc(disks_->num_disks());
   ContextStore contexts(*disks_, alloc, local_v, cfg_.mu,
-                        /*journaled=*/false);
+                        /*journaled=*/false, me * local_v);
   MessageStoreConfig mcfg;
   mcfg.num_groups = rounds;
   mcfg.group_capacity_blocks = layout.group_capacity;
+  mcfg.total_capacity_blocks = layout.total_capacity;
   mcfg.mode = cfg_.routing;
   mcfg.max_message_bytes = cfg_.gamma;
   mcfg.memory_budget_bytes = layout.routing_mem_budget;
@@ -266,6 +272,7 @@ SimResult DistSimulator::run(
       std::uint64_t num_messages = 0;
       std::uint64_t recv_packets = 0;
       std::uint64_t recv_bytes = 0;
+      std::uint64_t recv_wire = 0;
     };
     std::vector<VpStats> vp;
     auto submit_ctx_read = [&](std::uint32_t r) {
@@ -280,6 +287,7 @@ SimResult DistSimulator::run(
       }
       want_continue = false;
       comm_bytes_this_step = 0;
+      contexts.set_superstep(step);
       bsp::SuperstepCost local_step_cost;
       if (pipelined) submit_ctx_read(0);
 
@@ -396,6 +404,7 @@ SimResult DistSimulator::run(
               s.recv_packets +=
                   bsp::packets_for(msg.size_bytes(), cfg_.machine.bsp.b);
               s.recv_bytes += msg.size_bytes();
+              s.recv_wire += bsp::wire_bytes(msg.size_bytes());
             }
           };
           if (pool != nullptr) {
@@ -409,10 +418,8 @@ SimResult DistSimulator::run(
           want_continue = want_continue || s.cont;
           local_cost.max_work = std::max(local_cost.max_work, s.work);
           local_cost.total_work += s.work;
-          if (s.sent_wire > cfg_.gamma) {
-            throw std::runtime_error(
-                "DistSimulator: processor exceeded the declared gamma");
-          }
+          check_gamma(me * local_v + first + i, step, s.sent_wire,
+                      s.recv_wire, cfg_.gamma);
           local_cost.max_bytes_sent =
               std::max(local_cost.max_bytes_sent, s.bytes_sent);
           local_cost.max_packets_sent =
@@ -590,6 +597,8 @@ SimResult DistSimulator::run(
         const bool cancel = r.read<std::uint8_t>() != 0;
         if (src == 0) cancel_seen = cancel;
       }
+      // Every rank holds the same reduction, so all of them throw together.
+      check_exchange(step, step_cost, cfg_.exchange);
       result.costs.supersteps.push_back(step_cost);
       if (cancel_seen && any) {
         throw CanceledError("DistSimulator: canceled at superstep boundary " +

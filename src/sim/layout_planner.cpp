@@ -80,6 +80,16 @@ std::size_t resolve_k(const SimConfig& cfg, std::uint32_t local_v,
   return k;
 }
 
+/// Blocks that `receivers` virtual processors may receive together in one
+/// superstep: their gamma budgets, capped by the declared exchange (what
+/// all processors send together), packed at >= core.usable bytes a block.
+std::uint64_t receive_blocks(const SimConfig& cfg, const LayoutCore& core,
+                             std::uint64_t receivers) {
+  std::uint64_t bytes = receivers * cfg.gamma;
+  if (cfg.exchange != 0) bytes = std::min<std::uint64_t>(bytes, cfg.exchange);
+  return (bytes + core.usable - 1) / core.usable;
+}
+
 /// Fill a SimLayout for a resolved group size k (bounds already enforced).
 SimLayout make_layout(const SimConfig& cfg, std::uint32_t local_v,
                       const LayoutCore& core, std::size_t k) {
@@ -92,9 +102,19 @@ SimLayout make_layout(const SimConfig& cfg, std::uint32_t local_v,
   // gamma budget, packed at >= (payload_capacity - chunk header) bytes per
   // block, plus one underfull tail block per source group.
   layout.group_capacity =
-      (static_cast<std::uint64_t>(k) * cfg.gamma + core.usable - 1) /
-          core.usable +
-      layout.num_groups + 1;
+      receive_blocks(cfg, core, k) + layout.num_groups + 1;
+  // With a declared exchange, all groups together receive at most its
+  // packed size plus each group's tail blocks (and one block of rounding
+  // per group).
+  if (cfg.exchange != 0) {
+    layout.total_capacity =
+        std::min<std::uint64_t>(
+            (cfg.exchange + core.usable - 1) / core.usable +
+                static_cast<std::uint64_t>(layout.num_groups) *
+                    (layout.num_groups + 2),
+            static_cast<std::uint64_t>(layout.num_groups) *
+                layout.group_capacity);
+  }
   const std::uint64_t ctx_resident =
       static_cast<std::uint64_t>(core.resident) * k * core.slot;
   layout.routing_mem_budget = em.M > ctx_resident ? em.M - ctx_resident : 0;
@@ -168,18 +188,14 @@ LayoutPlan LayoutPlanner::plan(const SimConfig& cfg, std::uint32_t local_v) {
   // One super-group's receive bound: k_super receivers' gamma budgets
   // packed, plus an underfull tail block per *source* — message staging is
   // flushed per computed leaf group, so there are num_leaf sources.
-  plan.super_capacity_blocks =
-      (static_cast<std::uint64_t>(k_super) * cfg.gamma + core.usable - 1) /
-          core.usable +
-      num_leaf + 1;
+  plan.super_capacity_blocks = receive_blocks(cfg, core, k_super) +
+                               num_leaf + 1;
   // Scratch slab per leaf group for the re-cut blocks.  Re-cutting moves
   // whole chunk records, so a leaf's payload fits in its flat receive
   // bound; the 2x + 1 slack absorbs the packing fragmentation of cutting
   // at super-block boundaries instead of per-destination streams.
   plan.leaf_capacity_blocks =
-      2 * ((static_cast<std::uint64_t>(k_leaf) * cfg.gamma + core.usable - 1) /
-           core.usable) +
-      num_leaf + 2;
+      2 * receive_blocks(cfg, core, k_leaf) + num_leaf + 2;
   return plan;
 }
 

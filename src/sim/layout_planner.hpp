@@ -52,6 +52,9 @@ struct SimLayout {
   std::size_t k = 1;                  ///< group size
   std::uint32_t num_groups = 1;       ///< destination groups per processor
   std::uint64_t group_capacity = 1;   ///< blocks a group may receive
+  /// Blocks all groups together may receive in one superstep; 0 when no
+  /// exchange is declared (then num_groups * group_capacity bounds it).
+  std::uint64_t total_capacity = 0;
   std::size_t context_slot_bytes = 0; ///< mu rounded up to blocks
   /// What M leaves after the resident context groups — the staging budget
   /// offered to RoutingMode::automatic's in-memory fast path.

@@ -49,9 +49,13 @@ MessageStore::MessageStore(em::DiskArray& disks, em::TrackAllocators& alloc,
   // at all means the exchange exceeds M, so the hierarchical schedule never
   // takes the in-memory path.
   if (cfg_.mode == RoutingMode::automatic && cfg_.leaf_fanout <= 1) {
-    const std::uint64_t worst_case =
+    std::uint64_t worst_blocks =
         static_cast<std::uint64_t>(cfg_.num_groups) *
-        cfg_.group_capacity_blocks * block_size_;
+        cfg_.group_capacity_blocks;
+    if (cfg_.total_capacity_blocks != 0) {
+      worst_blocks = std::min(worst_blocks, cfg_.total_capacity_blocks);
+    }
+    const std::uint64_t worst_case = worst_blocks * block_size_;
     mem_mode_ = cfg_.memory_budget_bytes >= worst_case;
   }
   if (mem_mode_) {

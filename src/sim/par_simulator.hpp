@@ -44,6 +44,7 @@
 #include "sim/context_store.hpp"
 #include "sim/message_store.hpp"
 #include "sim/obs_hooks.hpp"
+#include "sim/requirements.hpp"
 #include "sim/seq_simulator.hpp"
 #include "sim/sim_config.hpp"
 #include "util/thread_pool.hpp"
@@ -101,6 +102,10 @@ SimResult ParSimulator::run(
   // expectation, and per-(source, destination-owner) tail blocks add
   // fragmentation.  Overflow is detected at runtime with a clear error.
   layout.group_capacity = layout.group_capacity * 2 + 4 * p + 4;
+  if (layout.total_capacity != 0) {
+    layout.total_capacity =
+        layout.total_capacity * 2 + layout.num_groups * (4 * p + 4);
+  }
   const auto k = static_cast<std::uint32_t>(layout.k);
   const std::uint32_t rounds = layout.num_groups;
 
@@ -126,10 +131,11 @@ SimResult ParSimulator::run(
           std::make_unique<em::TrackAllocators>(disk_arrays_[i]->num_disks());
       procs[i].contexts = std::make_unique<ContextStore>(
           *disk_arrays_[i], *procs[i].alloc, local_v, cfg_.mu,
-          /*journaled=*/cfg_.superstep_recovery);
+          /*journaled=*/cfg_.superstep_recovery, i * local_v);
       MessageStoreConfig mcfg;
       mcfg.num_groups = rounds;
       mcfg.group_capacity_blocks = layout.group_capacity;
+      mcfg.total_capacity_blocks = layout.total_capacity;
       mcfg.mode = cfg_.routing;
       mcfg.max_message_bytes = cfg_.gamma;
       mcfg.memory_budget_bytes = layout.routing_mem_budget;
@@ -345,6 +351,7 @@ SimResult ParSimulator::run(
         std::uint64_t num_messages = 0;
         std::uint64_t recv_packets = 0;
         std::uint64_t recv_bytes = 0;
+        std::uint64_t recv_wire = 0;
       };
       std::vector<VpStats> vp;
       std::vector<bsp::Outbox> outboxes;
@@ -376,6 +383,7 @@ SimResult ParSimulator::run(
         body_syncs = 0;
         self.want_continue = false;
         self.comm_bytes_this_step = 0;
+        self.contexts->set_superstep(step);
         if (pipelined) submit_ctx_read(0);
 
         for (std::uint32_t round = 0; round < rounds; ++round) {
@@ -490,6 +498,7 @@ SimResult ParSimulator::run(
                 s.recv_packets +=
                     bsp::packets_for(msg.size_bytes(), cfg_.machine.bsp.b);
                 s.recv_bytes += msg.size_bytes();
+                s.recv_wire += bsp::wire_bytes(msg.size_bytes());
               }
             };
             if (pool != nullptr) {
@@ -503,10 +512,8 @@ SimResult ParSimulator::run(
             self.want_continue = self.want_continue || s.cont;
             local_cost.max_work = std::max(local_cost.max_work, s.work);
             local_cost.total_work += s.work;
-            if (s.sent_wire > cfg_.gamma) {
-              throw std::runtime_error(
-                  "ParSimulator: processor exceeded the declared gamma");
-            }
+            check_gamma(me * local_v + first + i, step, s.sent_wire,
+                        s.recv_wire, cfg_.gamma);
             local_cost.max_bytes_sent =
                 std::max(local_cost.max_bytes_sent, s.bytes_sent);
             local_cost.max_packets_sent =
@@ -800,6 +807,8 @@ SimResult ParSimulator::run(
         if (me == 0) {
           {
             std::lock_guard<std::mutex> lock(cost_mutex);
+            // Peers see the throw as `failed` after the next barrier.
+            check_exchange(step, step_cost, cfg_.exchange);
             result.costs.supersteps.push_back(step_cost);
             step_cost = bsp::SuperstepCost{};
           }

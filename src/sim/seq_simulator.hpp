@@ -13,8 +13,9 @@
 //        format per destination group
 //
 // The simulator validates the model's resource discipline at runtime:
-// contexts must fit the declared mu, per-processor communication must fit
-// the declared gamma, and k*mu must fit the machine's memory M.
+// contexts must fit the declared mu, each virtual processor's sent and
+// received communication must fit the declared gamma (RequirementError
+// otherwise), and k*mu must fit the machine's memory M.
 #pragma once
 
 #include <algorithm>
@@ -33,6 +34,7 @@
 #include "sim/layout_planner.hpp"
 #include "sim/message_store.hpp"
 #include "sim/obs_hooks.hpp"
+#include "sim/requirements.hpp"
 #include "sim/sim_config.hpp"
 #include "util/thread_pool.hpp"
 
@@ -68,10 +70,10 @@ SimResult simulate_measured(
     const P& prog, SimConfig cfg,
     const std::function<typename P::State(std::uint32_t)>& make_state,
     const std::function<void(std::uint32_t, typename P::State&)>& collect) {
-  const auto req =
-      bsp::measure_requirements(prog, cfg.machine.bsp.v, make_state);
-  cfg.mu = req.mu + req.mu / 8 + 64;  // headroom: serialized sizes may drift
-  cfg.gamma = req.gamma + 64;         // req.gamma is already in wire bytes
+  const auto req = with_measured_margin(
+      bsp::measure_requirements(prog, cfg.machine.bsp.v, make_state));
+  cfg.mu = req.mu;
+  cfg.gamma = req.gamma;
   SeqSimulator sim(cfg);
   return sim.run(prog, make_state, collect);
 }
@@ -120,6 +122,7 @@ SimResult SeqSimulator::run(
   mcfg.num_groups = plan.levels.back().num_groups;
   mcfg.group_capacity_blocks =
       hier ? plan.super_capacity_blocks : layout.group_capacity;
+  mcfg.total_capacity_blocks = hier ? 0 : layout.total_capacity;
   mcfg.mode = cfg_.routing;
   mcfg.max_message_bytes = cfg_.gamma;
   mcfg.memory_budget_bytes = layout.routing_mem_budget;
@@ -178,14 +181,15 @@ SimResult SeqSimulator::run(
   ContextStore::PendingIo ctx_read[2];
   ContextStore::PendingIo ctx_write[2];
   MessageStore::PendingFetch msg_fetch[2];
-  // Kernel fixed buffers (uring engine): the slots above are the run's
+  // Kernel fixed buffers (uring engine): the context slots are the run's
   // long-lived I/O staging — size them to their steady-state maximum up
-  // front and offer them to the backends, so context and message transfers
-  // go out as READ_FIXED/WRITE_FIXED SQEs.  Non-uring backends decline the
-  // hint (free); a buffer that later outgrows its registration silently
-  // falls back to plain SQEs.  The guard unregisters before the slots are
-  // destroyed — a stale registration could otherwise alias a future run's
-  // allocations at the same addresses.
+  // front and offer them to the backends, so context transfers go out as
+  // READ_FIXED/WRITE_FIXED SQEs.  Non-uring backends decline the hint
+  // (free).  Message slots start empty and grow on demand in the fetch, as
+  // in ParSimulator and DistSimulator: their capacity bound k*gamma can far
+  // exceed what a group actually receives.  The guard unregisters before
+  // the slots are destroyed — a stale registration could otherwise alias a
+  // future run's allocations at the same addresses.
   struct RegGuard {
     em::DiskArray* d = nullptr;
     ~RegGuard() {
@@ -194,21 +198,12 @@ SimResult SeqSimulator::run(
   } reg_guard;
   if (pipelined) {
     const std::size_t ctx_bytes = layout.k * layout.context_slot_bytes;
-    // Hierarchical plans fetch leaf slabs out of scratch, so the staging
-    // slot is sized by the leaf scratch capacity, not the (much larger)
-    // routing-group capacity.
-    const std::size_t msg_bytes =
-        static_cast<std::size_t>(hier ? plan.leaf_capacity_blocks
-                                      : layout.group_capacity) *
-        cfg_.machine.em.B;
     std::vector<std::span<std::byte>> regions;
     for (int s = 0; s < 2; ++s) {
       ctx_read[s].buf.resize(ctx_bytes);
       ctx_write[s].buf.resize(ctx_bytes);
-      msg_fetch[s].buf.resize(msg_bytes);
       regions.push_back({ctx_read[s].buf.data(), ctx_read[s].buf.size()});
       regions.push_back({ctx_write[s].buf.data(), ctx_write[s].buf.size()});
-      regions.push_back({msg_fetch[s].buf.data(), msg_fetch[s].buf.size()});
     }
     if (disks_->register_io_buffers(regions) > 0) reg_guard.d = disks_.get();
   }
@@ -245,6 +240,7 @@ SimResult SeqSimulator::run(
     std::uint64_t num_messages = 0;
     std::uint64_t recv_packets = 0;
     std::uint64_t recv_bytes = 0;
+    std::uint64_t recv_wire = 0;
   };
   std::vector<VpStats> vp;
   std::vector<bsp::Outbox> outboxes;
@@ -430,6 +426,7 @@ SimResult SeqSimulator::run(
           "SeqSimulator: superstep limit exceeded (runaway program?)");
     }
     const auto superstep_before = snapshot();
+    contexts.set_superstep(step);
     bsp::SuperstepCost cost;
     bool any_continue = false;
 
@@ -544,6 +541,7 @@ SimResult SeqSimulator::run(
             s.recv_packets +=
                 bsp::packets_for(msg.size_bytes(), cfg_.machine.bsp.b);
             s.recv_bytes += msg.size_bytes();
+            s.recv_wire += bsp::wire_bytes(msg.size_bytes());
           }
         };
         if (pool != nullptr) {
@@ -560,13 +558,7 @@ SimResult SeqSimulator::run(
         any_continue = any_continue || s.cont;
         cost.max_work = std::max(cost.max_work, s.work);
         cost.total_work += s.work;
-        if (s.sent_wire > cfg_.gamma) {
-          throw std::runtime_error(
-              "SeqSimulator: processor " + std::to_string(first + i) +
-              " sent " + std::to_string(s.sent_wire) +
-              " bytes in one superstep, exceeding the declared gamma = " +
-              std::to_string(cfg_.gamma));
-        }
+        check_gamma(first + i, step, s.sent_wire, s.recv_wire, cfg_.gamma);
         cost.max_bytes_sent = std::max(cost.max_bytes_sent, s.bytes_sent);
         cost.max_packets_sent =
             std::max(cost.max_packets_sent, s.sent_packets);
@@ -648,6 +640,7 @@ SimResult SeqSimulator::run(
       result.routing_stats += messages.reorganize(rng);
     });
 
+    check_exchange(step, cost, cfg_.exchange);
     result.costs.supersteps.push_back(cost);
     result.per_superstep_io.push_back(
         disks_->stats().since(superstep_before));

@@ -60,6 +60,10 @@ struct SimConfig {
   bsp::MachineParams machine;  ///< target machine (p, BSP* params, EM params)
   std::size_t mu = 0;          ///< declared max serialized context bytes
   std::size_t gamma = 0;       ///< declared max comm bytes per vproc/superstep
+  /// Declared max wire bytes all vprocs send together in one superstep
+  /// (bsp::Requirements::exchange); 0 = not declared.  Caps the receive
+  /// capacity the layout plans for a group; metered like gamma.
+  std::uint64_t exchange = 0;
   std::size_t k = 0;           ///< group size; 0 = auto floor(M / context slot)
   RoutingMode routing = RoutingMode::compact;
 

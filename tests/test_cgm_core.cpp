@@ -97,22 +97,28 @@ class CgmSortEmSweep : public ::testing::TestWithParam<SortSweepParam> {};
 
 TEST_P(CgmSortEmSweep, MatchesStdSortOnEmMachines) {
   const auto prm = GetParam();
-  auto keys = util::random_keys(prm.n, 17 + prm.n);
-  auto want = keys;
-  std::stable_sort(want.begin(), want.end());
+  // Random keys, then all-equal keys: every splitter repeats, the input
+  // that needs the sort's tie-breaking to stay within its declared mu.
+  const std::vector<std::vector<std::uint64_t>> inputs = {
+      util::random_keys(prm.n, 17 + prm.n),
+      std::vector<std::uint64_t>(prm.n, 7)};
+  for (const auto& keys : inputs) {
+    auto want = keys;
+    std::stable_sort(want.begin(), want.end());
 
-  if (prm.p == 1) {
-    SeqEmExec exec(em_config(1, prm.D, prm.B));
-    auto out = cgm_sort<std::uint64_t, KeyLess>(exec, keys, prm.v);
-    EXPECT_EQ(out.sorted, want);
-    EXPECT_EQ(out.exec.lambda, 4u);
-    ASSERT_TRUE(out.exec.sim.has_value());
-    EXPECT_GT(out.exec.sim->total_io.parallel_ios, 0u);
-  } else {
-    ParEmExec exec(em_config(prm.p, prm.D, prm.B));
-    auto out = cgm_sort<std::uint64_t, KeyLess>(exec, keys, prm.v);
-    EXPECT_EQ(out.sorted, want);
-    EXPECT_EQ(out.exec.lambda, 4u);
+    if (prm.p == 1) {
+      SeqEmExec exec(em_config(1, prm.D, prm.B));
+      auto out = cgm_sort<std::uint64_t, KeyLess>(exec, keys, prm.v);
+      EXPECT_EQ(out.sorted, want);
+      EXPECT_EQ(out.exec.lambda, 4u);
+      ASSERT_TRUE(out.exec.sim.has_value());
+      EXPECT_GT(out.exec.sim->total_io.parallel_ios, 0u);
+    } else {
+      ParEmExec exec(em_config(prm.p, prm.D, prm.B));
+      auto out = cgm_sort<std::uint64_t, KeyLess>(exec, keys, prm.v);
+      EXPECT_EQ(out.sorted, want);
+      EXPECT_EQ(out.exec.lambda, 4u);
+    }
   }
 }
 
