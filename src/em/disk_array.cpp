@@ -175,9 +175,14 @@ DiskArray::IoToken DiskArray::launch(std::shared_ptr<PendingOp> op,
                                      std::size_t width) {
   op->remaining = op->transfers.size();
   op->errors.resize(op->transfers.size());
-  engine_.max_queue_depth =
-      std::max<std::uint64_t>(engine_.max_queue_depth, width);
-  engine_.queue_depth.record(width);
+  // A batch whose every track was elided has nothing to execute: it is
+  // settled on arrival and leaves the queue-depth record alone.
+  op->done = op->transfers.empty();
+  if (width > 0) {
+    engine_.max_queue_depth =
+        std::max<std::uint64_t>(engine_.max_queue_depth, width);
+    engine_.queue_depth.record(width);
+  }
   const IoToken token = next_token_++;
   pending_.emplace(token, op);
   start(op);
@@ -209,10 +214,15 @@ DiskArray::IoToken DiskArray::submit(std::span<const Op> ops, bool is_read) {
 }
 
 template <class Op>
-DiskArray::IoToken DiskArray::submit_batch(std::span<const Op> ops,
-                                           std::uint64_t cycles,
-                                           bool is_read) {
-  if (ops.empty()) {
+DiskArray::IoToken DiskArray::submit_batch(
+    std::span<const Op> ops, std::uint64_t cycles, bool is_read,
+    std::span<const std::uint64_t> elided) {
+  if (!elided.empty() && elided.size() != disks_.size()) {
+    throw std::invalid_argument("DiskArray: elided counts need one per disk");
+  }
+  std::uint64_t elided_total = 0;
+  for (const auto e : elided) elided_total += e;
+  if (ops.empty() && elided_total == 0) {
     throw std::invalid_argument("DiskArray: empty batched I/O");
   }
   // Partition op indices per disk, preserving op order — the per-disk
@@ -226,11 +236,12 @@ DiskArray::IoToken DiskArray::submit_batch(std::span<const Op> ops,
     }
     per_disk[ops[i].disk].push_back(i);
   }
-  std::size_t deepest = 0;
+  std::uint64_t deepest = 0;
   std::size_t width = 0;
-  for (const auto& v : per_disk) {
-    deepest = std::max(deepest, v.size());
-    if (!v.empty()) ++width;
+  for (std::size_t d = 0; d < per_disk.size(); ++d) {
+    const std::uint64_t elided_d = elided.empty() ? 0 : elided[d];
+    deepest = std::max<std::uint64_t>(deepest, per_disk[d].size() + elided_d);
+    if (!per_disk[d].empty()) ++width;
   }
   if (cycles < deepest) {
     throw std::invalid_argument(
@@ -241,7 +252,9 @@ DiskArray::IoToken DiskArray::submit_batch(std::span<const Op> ops,
   auto op = std::make_shared<PendingOp>();
   op->is_read = is_read;
   op->cycles = cycles;
-  op->blocks = ops.size();
+  op->blocks = ops.size() + elided_total;
+  op->bytes = elided_total * block_size_;
+  if (elided_total != 0) op->elided.assign(elided.begin(), elided.end());
   for (std::size_t d = 0; d < per_disk.size(); ++d) {
     const auto& idxs = per_disk[d];
     for (std::size_t j = 0; j < idxs.size();) {
@@ -323,6 +336,9 @@ void DiskArray::settle(PendingOp& op, bool swallow) {
     return;
   }
   stats_.parallel_ios += op.cycles;
+  for (std::size_t d = 0; d < op.elided.size(); ++d) {
+    engine_.per_disk[d].elided_tracks += op.elided[d];
+  }
   if (op.is_read) {
     stats_.blocks_read += op.blocks;
     stats_.bytes_read += op.bytes;
@@ -342,12 +358,13 @@ DiskArray::IoToken DiskArray::submit_write(std::span<const WriteOp> ops) {
 
 DiskArray::IoToken DiskArray::submit_read_batch(std::span<const ReadOp> ops,
                                                 std::uint64_t cycles) {
-  return submit_batch(ops, cycles, /*is_read=*/true);
+  return submit_batch(ops, cycles, /*is_read=*/true, {});
 }
 
-DiskArray::IoToken DiskArray::submit_write_batch(std::span<const WriteOp> ops,
-                                                 std::uint64_t cycles) {
-  return submit_batch(ops, cycles, /*is_read=*/false);
+DiskArray::IoToken DiskArray::submit_write_batch(
+    std::span<const WriteOp> ops, std::uint64_t cycles,
+    std::span<const std::uint64_t> elided) {
+  return submit_batch(ops, cycles, /*is_read=*/false, elided);
 }
 
 void DiskArray::parallel_read_batch(std::span<const ReadOp> ops,

@@ -153,9 +153,18 @@ class DiskArray {
   /// submitting the equivalent sequence of ≤D-op cycles.
   IoToken submit_read_batch(std::span<const ReadOp> ops, std::uint64_t cycles);
 
-  /// Batched write; mirror of submit_read_batch.
+  /// Batched write; mirror of submit_read_batch.  With `elided` (one
+  /// count per disk), elided[d] further tracks on disk d never reach the
+  /// drive: the caller has shown that they already hold the bytes it would
+  /// write.  The model cost is that of the whole batch — `cycles` (at least
+  /// the per-disk count of ops plus elided tracks), and ops.size() +
+  /// Σ elided blocks of block_size bytes — charged when the token settles,
+  /// like any batch.  `ops` may be empty as long as some track is elided;
+  /// that token settles at once.  A settled batch adds its elided tracks to
+  /// EngineStats (DiskIoStats::elided_tracks).
   IoToken submit_write_batch(std::span<const WriteOp> ops,
-                             std::uint64_t cycles);
+                             std::uint64_t cycles,
+                             std::span<const std::uint64_t> elided = {});
 
   /// Blocking forms of the batched submissions (submit + wait).
   void parallel_read_batch(std::span<const ReadOp> ops, std::uint64_t cycles);
@@ -252,6 +261,8 @@ class DiskArray {
     std::uint64_t cycles = 1;  ///< parallel I/Os charged when it settles
     std::uint64_t blocks = 0;
     std::uint64_t bytes = 0;
+    /// Tracks per disk charged but never transferred (elided writes).
+    std::vector<std::uint64_t> elided;
     std::mutex m;
     std::condition_variable cv;
     std::size_t remaining = 0;                 ///< guarded by m
@@ -283,7 +294,7 @@ class DiskArray {
   IoToken submit(std::span<const Op> ops, bool is_read);
   template <class Op>
   IoToken submit_batch(std::span<const Op> ops, std::uint64_t cycles,
-                       bool is_read);
+                       bool is_read, std::span<const std::uint64_t> elided);
   IoToken launch(std::shared_ptr<PendingOp> op, std::size_t width);
   /// Block until `op` settles; charge stats / rethrow per the wait()
   /// contract.  With `swallow` set, errors are discarded instead.

@@ -37,6 +37,7 @@ void export_metrics(const EngineStats& stats, obs::Registry& registry,
     registry.add(at(mid, "retries"), ds.retries);
     registry.add(at(mid, "giveups"), ds.giveups);
     registry.add(at(mid, "coalesced_tracks"), ds.coalesced_tracks);
+    registry.add(at(mid, "elided_tracks"), ds.elided_tracks);
     registry.merge_histogram(at(mid, "service_ns"), ds.service_ns);
     if (!ds.retry_delay_ns.empty()) {
       registry.merge_histogram(at(mid, "retry_delay_ns"), ds.retry_delay_ns);
@@ -44,6 +45,7 @@ void export_metrics(const EngineStats& stats, obs::Registry& registry,
   }
   registry.add(at("", "stall_ns"), stats.stall_ns);
   registry.add(at("", "coalesced_tracks"), stats.total_coalesced_tracks());
+  registry.add(at("", "elided_tracks"), stats.total_elided_tracks());
   registry.set_gauge(at("", "max_queue_depth"),
                      static_cast<double>(stats.max_queue_depth));
   registry.merge_histogram(at("", "queue_depth"), stats.queue_depth);

@@ -83,6 +83,10 @@ struct DiskIoStats {
   /// ops still counts every track, so ops - coalesced_tracks approximates
   /// the drive's backend call count.
   std::uint64_t coalesced_tracks = 0;
+  /// Tracks a batched write charged to the model but never transferred,
+  /// because the caller showed the drive already held those bytes (an
+  /// unchanged context block; see ContextStore).  Not part of ops.
+  std::uint64_t elided_tracks = 0;
   /// Per-attempt service time (every backend transfer attempt, successful
   /// or not) — busy_ns is this histogram's sum.
   obs::LogHistogram service_ns;
@@ -179,6 +183,12 @@ struct EngineStats {
     return n;
   }
 
+  [[nodiscard]] std::uint64_t total_elided_tracks() const {
+    std::uint64_t n = 0;
+    for (const auto& d : per_disk) n += d.elided_tracks;
+    return n;
+  }
+
   /// Fraction of the busiest disk's service time the issuing thread spent
   /// stalled, over the window since `prev` was captured (pass a
   /// default-constructed EngineStats for run-to-date).  ~1 means I/O
@@ -190,8 +200,9 @@ struct EngineStats {
 
 /// Dump engine execution stats into a metrics registry under `prefix`
 /// (e.g. "engine." or "proc.3.engine."): per-disk counters
-/// `<prefix>disk.<d>.{ops,bytes,busy_ns,retries,giveups}`, per-disk
-/// histograms `<prefix>disk.<d>.{service_ns,retry_delay_ns}`, plus
+/// `<prefix>disk.<d>.{ops,bytes,busy_ns,retries,giveups,coalesced_tracks,
+/// elided_tracks}` and their totals `<prefix>{coalesced,elided}_tracks`,
+/// per-disk histograms `<prefix>disk.<d>.{service_ns,retry_delay_ns}`, plus
 /// `<prefix>stall_ns`, `<prefix>max_queue_depth` (gauge) and
 /// `<prefix>queue_depth` (histogram).  Call once per run, after all
 /// parallel I/O has completed.

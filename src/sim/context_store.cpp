@@ -27,7 +27,9 @@ ContextStore::ContextStore(em::DiskArray& disks, em::TrackAllocators& alloc,
               block_size_),
       band_((blocks_ + disks.num_disks() - 1) / disks.num_disks()),
       journaled_(journaled),
-      lengths_(num_contexts, 0) {
+      elide_(!journaled),
+      lengths_(num_contexts, 0),
+      writes_(num_contexts, 0) {
   if (num_contexts == 0) {
     throw std::invalid_argument("ContextStore: need at least one context");
   }
@@ -42,6 +44,12 @@ ContextStore::ContextStore(em::DiskArray& disks, em::TrackAllocators& alloc,
   start_tracks_ = alloc.reserve_striped(static_cast<std::uint64_t>(band_) *
                                         num_contexts *
                                         (journaled_ ? 2 : 1));
+  // A fault-injecting drive draws its schedule per backend call, so an
+  // elided write would shift every later fault.
+  for (std::size_t d = 0; d < disks.num_disks(); ++d) {
+    em::Backend& b = disks.disk(d).backend();
+    if (&em::unwrap_faults(b) != &b) elide_ = false;
+  }
   if (journaled_) {
     bank_.assign(num_contexts, 0);
     dirty_.assign(num_contexts, 0);
@@ -137,19 +145,25 @@ void ContextStore::restore_context(std::uint32_t ctx, util::Reader& r) {
   }
   if (journaled_) bank_[ctx] = bank;
   lengths_[ctx] = len;
+  ++writes_[ctx];
 }
 
 void ContextStore::write_submit(std::uint32_t first, std::uint32_t count,
-                                const EmitFn& emit, PendingIo& io) {
+                                const EmitFn& emit, PendingIo& io,
+                                const PendingIo& image) {
   if (first + count > num_contexts_) {
     throw std::out_of_range("ContextStore::write: context range");
   }
   const std::uint64_t d = disks_->num_disks();
   io.tokens.clear();
   io.buf.clear();  // keeps capacity: the staging buffer is grow-only
+  // Room for every context at mu up front: serializing into it then never
+  // reallocates (and never copies the contexts staged before).
+  io.buf.reserve(static_cast<std::size_t>(count) * slot_bytes());
   io.first = first;
   io.count = count;
   io.active = true;
+  io.settled = false;  // holds a write now, never an image
   // Stage all used blocks, then drain per-disk queues one op per disk per
   // parallel I/O — the rotated layout keeps the queues balanced.
   struct Op {
@@ -158,6 +172,8 @@ void ContextStore::write_submit(std::uint32_t first, std::uint32_t count,
     std::size_t offset;
   };
   std::vector<std::vector<Op>> queues(d);
+  std::vector<std::uint64_t> elided(d, 0);
+  const bool compare = elide_ && image.settled;
   for (std::uint32_t i = 0; i < count; ++i) {
     // Slot format [u32 len][payload][zero pad]: serialize straight into the
     // staging buffer behind a length placeholder, then zero only the pad
@@ -176,13 +192,31 @@ void ContextStore::write_submit(std::uint32_t first, std::uint32_t count,
     std::memcpy(io.buf.data() + offset, &len, kLenPrefix);
     const std::uint64_t used = blocks_for(payload);
     io.buf.resize(offset + used * block_size_);
+    // The blocks this context had when `image` read them, if no write of it
+    // has been submitted since: the disk holds exactly those bytes.
+    const std::uint32_t ctx = first + i;
+    const std::byte* old = nullptr;
+    std::uint64_t old_used = 0;
+    if (compare && ctx >= image.first && ctx - image.first < image.count &&
+        image.write_gen[ctx - image.first] == writes_[ctx]) {
+      old = image.buf.data() + image.ctx_offset[ctx - image.first];
+      old_used = blocks_for(image.expected_len[ctx - image.first]);
+    }
+    ++writes_[ctx];
     // Journaled: write the non-live bank and leave the committed copy (the
     // checkpoint) untouched until commit_epoch().
     const std::uint8_t bank =
-        journaled_ ? static_cast<std::uint8_t>(bank_[first + i] ^ 1) : 0;
+        journaled_ ? static_cast<std::uint8_t>(bank_[ctx] ^ 1) : 0;
     for (std::uint64_t b = 0; b < used; ++b) {
-      const auto [disk, track] = location_in_bank(first + i, b, bank);
-      queues[disk].push_back(Op{disk, track, offset + b * block_size_});
+      const auto [disk, track] = location_in_bank(ctx, b, bank);
+      const std::size_t at = offset + b * block_size_;
+      if (b < old_used && std::memcmp(io.buf.data() + at,
+                                      old + b * block_size_,
+                                      block_size_) == 0) {
+        ++elided[disk];
+        continue;
+      }
+      queues[disk].push_back(Op{disk, track, at});
     }
     if (journaled_) {
       pending_lengths_[first + i] = len;
@@ -193,21 +227,24 @@ void ContextStore::write_submit(std::uint32_t first, std::uint32_t count,
   }
   // One batched submission, pre-declared at the cost the old round-robin
   // drain charged: max per-disk queue depth parallel I/Os (one track per
-  // disk per round).  Per-disk op order stays the queue order, and a
-  // context's blocks on one disk sit on consecutive tracks, so runs
-  // coalesce into vectored backend transfers.
+  // disk per round), elided tracks included.  Per-disk op order stays the
+  // queue order, and a context's blocks on one disk sit on consecutive
+  // tracks, so runs coalesce into vectored backend transfers.
   std::uint64_t deepest = 0;
+  std::uint64_t elided_total = 0;
   std::vector<em::WriteOp> ops;
-  for (const auto& q : queues) {
-    deepest = std::max<std::uint64_t>(deepest, q.size());
-    for (const Op& op : q) {
+  for (std::uint64_t disk = 0; disk < d; ++disk) {
+    deepest = std::max<std::uint64_t>(deepest,
+                                      queues[disk].size() + elided[disk]);
+    elided_total += elided[disk];
+    for (const Op& op : queues[disk]) {
       ops.push_back({op.disk, op.track,
                      std::span<const std::byte>(io.buf)
                          .subspan(op.offset, block_size_)});
     }
   }
-  if (!ops.empty()) {
-    io.tokens.push_back(disks_->submit_write_batch(ops, deepest));
+  if (!ops.empty() || elided_total != 0) {
+    io.tokens.push_back(disks_->submit_write_batch(ops, deepest, elided));
   }
 }
 
@@ -222,8 +259,8 @@ void ContextStore::write_wait(PendingIo& io) {
 
 void ContextStore::write(std::uint32_t first, std::uint32_t count,
                          const EmitFn& emit) {
-  write_submit(first, count, emit, sync_io_);
-  write_wait(sync_io_);
+  write_submit(first, count, emit, sync_write_, sync_read_);
+  write_wait(sync_write_);
 }
 
 void ContextStore::write(std::uint32_t first,
@@ -244,6 +281,7 @@ void ContextStore::read_submit(std::uint32_t first, std::uint32_t count,
   io.first = first;
   io.count = count;
   io.active = true;
+  io.settled = false;
   struct Op {
     std::uint32_t disk;
     std::uint64_t track;
@@ -252,11 +290,13 @@ void ContextStore::read_submit(std::uint32_t first, std::uint32_t count,
   std::vector<std::vector<Op>> queues(d);
   io.ctx_offset.resize(count);
   io.expected_len.resize(count);
+  io.write_gen.resize(count);
   std::size_t staged = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint64_t used = blocks_for(lengths_[first + i]);
     io.ctx_offset[i] = staged;
     io.expected_len[i] = lengths_[first + i];
+    io.write_gen[i] = writes_[first + i];
     for (std::uint64_t b = 0; b < used; ++b) {
       const auto [disk, track] = location(first + i, b);
       queues[disk].push_back(Op{disk, track, staged + b * block_size_});
@@ -283,15 +323,14 @@ void ContextStore::read_submit(std::uint32_t first, std::uint32_t count,
   }
 }
 
-void ContextStore::read_wait(PendingIo& io,
-                             std::vector<std::vector<std::byte>>& out) {
+ContextStore::Views ContextStore::read_wait(PendingIo& io) {
   if (!io.active) {
     throw std::logic_error("ContextStore::read_wait: no read in flight");
   }
   for (const auto t : io.tokens) disks_->wait(t);
   io.tokens.clear();
   io.active = false;
-  out.resize(io.count);
+  io.views.resize(io.count);
   for (std::uint32_t i = 0; i < io.count; ++i) {
     std::uint32_t len = 0;
     std::memcpy(&len, io.buf.data() + io.ctx_offset[i], kLenPrefix);
@@ -300,22 +339,17 @@ void ContextStore::read_wait(PendingIo& io,
           "ContextStore: corrupted context slot for processor " +
           std::to_string(io.first + i));
     }
-    const auto* src = io.buf.data() + io.ctx_offset[i] + kLenPrefix;
-    out[i].assign(src, src + len);
+    io.views[i] = std::span<const std::byte>(io.buf).subspan(
+        io.ctx_offset[i] + kLenPrefix, len);
   }
+  io.settled = true;
+  return io.views;
 }
 
-void ContextStore::read_into(std::uint32_t first, std::uint32_t count,
-                             std::vector<std::vector<std::byte>>& out) {
-  read_submit(first, count, sync_io_);
-  read_wait(sync_io_, out);
-}
-
-std::vector<std::vector<std::byte>> ContextStore::read(std::uint32_t first,
-                                                       std::uint32_t count) {
-  std::vector<std::vector<std::byte>> out;
-  read_into(first, count, out);
-  return out;
+ContextStore::Views ContextStore::read(std::uint32_t first,
+                                       std::uint32_t count) {
+  read_submit(first, count, sync_read_);
+  return read_wait(sync_read_);
 }
 
 }  // namespace embsp::sim

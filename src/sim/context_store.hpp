@@ -19,6 +19,19 @@
 // actually occupies.  The layout (and hence full disk parallelism) is
 // unchanged; supersteps in which contexts are small cost proportionally
 // less I/O.
+//
+// A context swap copies nothing it does not have to.  Reads hand out
+// views into the block-aligned read staging — the program deserializes
+// straight from the bytes the disks delivered — and a write-back compares
+// each staged block with the block read from the same track in this
+// superstep and drops the physical transfer when the bytes are equal.
+// The disk then already holds them, so the image is identical by
+// construction, and the model still charges the full µ/B cost.  The
+// comparison is made only when the store can show the disk holds the
+// image: the store is not journaled (a journaled write goes to the other
+// bank), no drive injects faults (eliding would shift the call-indexed
+// fault schedule, as coalescing would), and no write of the context has
+// been submitted since its image was read.
 #pragma once
 
 #include <cstdint>
@@ -72,19 +85,36 @@ class ContextStore {
   /// per-context vector).
   using EmitFn = std::function<void(std::uint32_t ctx, util::Writer& w)>;
 
+  /// Per-context payload views into a read's staging buffer.
+  using Views = std::span<const std::span<const std::byte>>;
+
   /// One in-flight read or write of a contiguous context range: the staged
   /// bytes, per-context offsets into them, and the completion tokens of the
   /// submitted parallel I/Os.  Owned by the caller so the pipelined
   /// simulator can double-buffer; reused across supersteps (grow-only
-  /// buffer).
+  /// buffer).  A settled read also serves as the image the next write of
+  /// the same contexts compares against.
   struct PendingIo {
     std::vector<em::DiskArray::IoToken> tokens;
     std::vector<std::byte> buf;
     std::vector<std::size_t> ctx_offset;
     std::vector<std::uint32_t> expected_len;  ///< read: length at submission
+    /// read: each context's write count at submission.  The image of a
+    /// context is current while the store's count still matches.
+    std::vector<std::uint32_t> write_gen;
+    std::vector<std::span<const std::byte>> views;  ///< read: payloads
     std::uint32_t first = 0;
     std::uint32_t count = 0;
     bool active = false;
+    bool settled = false;  ///< read: waited without error, views valid
+
+    /// Forget the operation without settling it.  Call only once the disk
+    /// array has been drained (the abort and rollback paths).
+    void reset() {
+      tokens.clear();
+      active = false;
+      settled = false;
+    }
   };
 
   /// Write contexts [first, first+count); `payloads[i]` is the serialized
@@ -94,18 +124,14 @@ class ContextStore {
 
   /// Write contexts [first, first+count), serializing each directly into
   /// the staging buffer via `emit` (blocking; same I/O schedule as the
-  /// span overload).
+  /// span overload).  Blocks unchanged since the last blocking read()
+  /// are elided (see the file comment).
   void write(std::uint32_t first, std::uint32_t count, const EmitFn& emit);
 
-  /// Read contexts [first, first+count); returns one byte vector per
-  /// context (exactly the bytes previously written).
-  [[nodiscard]] std::vector<std::vector<std::byte>> read(std::uint32_t first,
-                                                         std::uint32_t count);
-
-  /// Reusable-buffer variant of read(): fills `out[i]` with the payload of
-  /// context first+i, recycling the vectors' capacity.
-  void read_into(std::uint32_t first, std::uint32_t count,
-                 std::vector<std::vector<std::byte>>& out);
+  /// Read contexts [first, first+count) (blocking); returns one view per
+  /// context of exactly the bytes previously written.  The views point into
+  /// the store's read staging and stay valid until the next read().
+  [[nodiscard]] Views read(std::uint32_t first, std::uint32_t count);
 
   // --- Asynchronous paths (pipelined simulator) ----------------------------
   //
@@ -117,9 +143,16 @@ class ContextStore {
   // submission, exactly when the blocking calls update it.
 
   void read_submit(std::uint32_t first, std::uint32_t count, PendingIo& io);
-  void read_wait(PendingIo& io, std::vector<std::vector<std::byte>>& out);
+  /// Settle `io`'s read; the returned views stay valid until `io` is
+  /// submitted again.
+  Views read_wait(PendingIo& io);
+  /// Stage and submit the write of contexts [first, first+count) into `io`.
+  /// `image` is the settled read of the same contexts in this superstep:
+  /// a staged block equal to the block it read from the same track is not
+  /// transferred (its model cost is still charged when `io` settles).
   void write_submit(std::uint32_t first, std::uint32_t count,
-                    const EmitFn& emit, PendingIo& io);
+                    const EmitFn& emit, PendingIo& io,
+                    const PendingIo& image);
   void write_wait(PendingIo& io);
 
   [[nodiscard]] std::uint32_t num_contexts() const { return num_contexts_; }
@@ -178,13 +211,16 @@ class ContextStore {
   std::uint64_t blocks_;
   std::uint64_t band_;  ///< tracks per context per disk
   bool journaled_;
+  bool elide_;  ///< not journaled and no fault-injecting drive
   std::uint64_t epoch_ = 0;
   std::vector<std::uint64_t> start_tracks_;
   std::vector<std::uint32_t> lengths_;  ///< committed length per context
+  std::vector<std::uint32_t> writes_;   ///< writes submitted per context
   std::vector<std::uint8_t> bank_;      ///< live bank (journaled mode)
   std::vector<std::uint8_t> dirty_;     ///< written this epoch
   std::vector<std::uint32_t> pending_lengths_;  ///< uncommitted lengths
-  PendingIo sync_io_;  ///< staging slot of the blocking read/write calls
+  PendingIo sync_read_;   ///< staging slot of the blocking read
+  PendingIo sync_write_;  ///< staging slot of the blocking write
 };
 
 }  // namespace embsp::sim

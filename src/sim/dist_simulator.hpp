@@ -237,8 +237,9 @@ SimResult DistSimulator::run(
     // keeps slow-starting peers from eating into round deadlines.
     (void)tp_->exchange();
 
-    // Buffers reused across rounds and supersteps.
-    std::vector<std::vector<std::byte>> payloads;
+    // Buffers reused across rounds and supersteps.  The round's contexts
+    // are views into the read staging slot.
+    ContextStore::Views ctx_views;
     std::vector<std::vector<bsp::Message>> inboxes;
     std::vector<bsp::Message> outgoing;
     std::vector<State> states;
@@ -356,12 +357,12 @@ SimResult DistSimulator::run(
           ObsPhase phase(rec, pipelined ? "prefetch_ctx" : "fetch_ctx",
                          disks, &phase_io.fetch_ctx, me);
           if (pipelined) {
-            contexts.read_wait(ctx_read[round & 1], payloads);
+            ctx_views = contexts.read_wait(ctx_read[round & 1]);
             // Read-ahead: the next round's contexts stream in while this
             // round computes.
             if (round + 1 < rounds) submit_ctx_read(round + 1);
           } else {
-            contexts.read_into(first, count, payloads);
+            ctx_views = contexts.read(first, count);
           }
         }
         // A fast peer may already be scattering this round's blocks at us;
@@ -383,7 +384,7 @@ SimResult DistSimulator::run(
           // Each task touches only index-i data; costs are reduced below
           // in vproc order, so the totals match the sequential loop.
           auto task = [&](std::size_t i) {
-            util::Reader r(payloads[i]);
+            util::Reader r(ctx_views[i]);
             states[i].deserialize(r);
             bsp::Inbox in = zero_copy ? bsp::Inbox(std::move(inbox_refs[i]))
                                       : bsp::Inbox(std::move(inboxes[i]));
@@ -460,7 +461,8 @@ SimResult DistSimulator::run(
             // Retire round r-2's write-backs, then submit round r's; the
             // writes overlap the following rounds' compute.
             contexts.write_wait(ctx_write[round & 1]);
-            contexts.write_submit(first, count, emit, ctx_write[round & 1]);
+            contexts.write_submit(first, count, emit, ctx_write[round & 1],
+                                  ctx_read[round & 1]);
           } else {
             contexts.write(first, count, emit);
           }
@@ -617,9 +619,11 @@ SimResult DistSimulator::run(
       for (std::uint32_t r = 0; r < rounds; ++r) {
         const std::uint32_t first = r * k;
         const std::uint32_t count = std::min(k, local_v - first);
-        contexts.read_into(first, count, payloads);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          local_out.write_vector(payloads[i]);
+        const auto views = contexts.read(first, count);
+        for (const auto view : views) {
+          // The framing of Writer::write_vector, straight from the view.
+          local_out.write<std::uint64_t>(view.size());
+          local_out.write_bytes(view);
         }
       }
     }

@@ -303,10 +303,8 @@ SimResult ParSimulator::run(
         disks.drain();
         self.messages->abandon_inflight();
         for (int s = 0; s < 2; ++s) {
-          ctx_read[s].active = false;
-          ctx_read[s].tokens.clear();
-          ctx_write[s].active = false;
-          ctx_write[s].tokens.clear();
+          ctx_read[s].reset();
+          ctx_write[s].reset();
         }
       };
 
@@ -332,7 +330,8 @@ SimResult ParSimulator::run(
       sync();
 
       // Buffers reused across rounds and supersteps (no per-round churn).
-      std::vector<std::vector<std::byte>> payloads;
+      // The round's contexts are views into the read staging slot.
+      ContextStore::Views ctx_views;
       std::vector<std::vector<bsp::Message>> inboxes;
       std::vector<bsp::Message> outgoing;
       std::vector<State> states;
@@ -452,12 +451,12 @@ SimResult ParSimulator::run(
             ObsPhase phase(rec, pipelined ? "prefetch_ctx" : "fetch_ctx",
                            disks, &self.phase_io.fetch_ctx, me);
             if (pipelined) {
-              self.contexts->read_wait(ctx_read[round & 1], payloads);
+              ctx_views = self.contexts->read_wait(ctx_read[round & 1]);
               // Read-ahead: the next round's contexts stream in while this
               // round computes.
               if (round + 1 < rounds) submit_ctx_read(round + 1);
             } else {
-              self.contexts->read_into(first, count, payloads);
+              ctx_views = self.contexts->read(first, count);
             }
           }
 
@@ -476,7 +475,7 @@ SimResult ParSimulator::run(
             // Each task touches only index-i data; costs are reduced below
             // in vproc order, so the totals match the sequential loop.
             auto task = [&](std::size_t i) {
-              util::Reader r(payloads[i]);
+              util::Reader r(ctx_views[i]);
               states[i].deserialize(r);
               bsp::Inbox in = zero_copy
                                   ? bsp::Inbox(std::move(inbox_refs[i]))
@@ -573,7 +572,8 @@ SimResult ParSimulator::run(
               // writes overlap the following rounds' compute.
               self.contexts->write_wait(ctx_write[round & 1]);
               self.contexts->write_submit(first, count, emit,
-                                          ctx_write[round & 1]);
+                                          ctx_write[round & 1],
+                                          ctx_read[round & 1]);
             } else {
               self.contexts->write(first, count, emit);
             }
@@ -889,9 +889,9 @@ SimResult ParSimulator::run(
         for (std::uint32_t r = 0; r < rounds; ++r) {
           const std::uint32_t first = r * k;
           const std::uint32_t count = std::min(k, local_v - first);
-          self.contexts->read_into(first, count, payloads);
+          const auto views = self.contexts->read(first, count);
           for (std::uint32_t i = 0; i < count; ++i) {
-            util::Reader rd(payloads[i]);
+            util::Reader rd(views[i]);
             final_states[me * local_v + first + i].deserialize(rd);
           }
         }

@@ -209,7 +209,9 @@ SimResult SeqSimulator::run(
   }
 
   // Buffers reused across groups and supersteps (no per-group churn).
-  std::vector<std::vector<std::byte>> payloads;
+  // The group's contexts are views into the read staging slot: compute
+  // deserializes from the bytes the disks delivered.
+  ContextStore::Views ctx_views;
   std::vector<std::vector<bsp::Message>> inboxes;
   std::vector<bsp::Message> outgoing;
   std::vector<State> states;
@@ -254,10 +256,8 @@ SimResult SeqSimulator::run(
     disks_->drain();
     messages.abandon_inflight();
     for (int s = 0; s < 2; ++s) {
-      ctx_read[s].active = false;
-      ctx_read[s].tokens.clear();
-      ctx_write[s].active = false;
-      ctx_write[s].tokens.clear();
+      ctx_read[s].reset();
+      ctx_write[s].reset();
       msg_fetch[s].active = false;
       msg_fetch[s].tokens.clear();
     }
@@ -454,7 +454,7 @@ SimResult SeqSimulator::run(
         {
           ObsPhase phase(rec, "prefetch_ctx", *disks_,
                          &result.phase_io.fetch_ctx);
-          contexts.read_wait(ctx_read[cur], payloads);
+          ctx_views = contexts.read_wait(ctx_read[cur]);
         }
         {
           ObsPhase phase(rec, "prefetch_msg", *disks_,
@@ -472,7 +472,7 @@ SimResult SeqSimulator::run(
         {
           ObsPhase phase(rec, "fetch_ctx", *disks_,
                          &result.phase_io.fetch_ctx);
-          contexts.read_into(first, count, payloads);
+          ctx_views = contexts.read(first, count);
         }
         ObsPhase phase(rec, "fetch_msg", *disks_, &result.phase_io.fetch_msg);
         if (zero_copy) {
@@ -521,7 +521,7 @@ SimResult SeqSimulator::run(
         // Each task touches only index-i data; costs are reduced below in
         // vproc order, so the totals are identical inline or pooled.
         auto task = [&](std::size_t i) {
-          util::Reader r(payloads[i]);
+          util::Reader r(ctx_views[i]);
           states[i].deserialize(r);
           bsp::Inbox in = zero_copy ? bsp::Inbox(std::move(inbox_refs[i]))
                                     : bsp::Inbox(std::move(inboxes[i]));
@@ -603,10 +603,12 @@ SimResult SeqSimulator::run(
           states[ctx - first].serialize(w);
         };
         if (pipelined) {
-          // Retire group g-2's context write-backs, then submit group g's;
-          // the writes overlap the following groups' compute.
+          // Retire group g-2's context write-backs, then submit group g's
+          // against the image group g read; the writes overlap the
+          // following groups' compute.
           contexts.write_wait(ctx_write[cur]);
-          contexts.write_submit(first, count, emit, ctx_write[cur]);
+          contexts.write_submit(first, count, emit, ctx_write[cur],
+                                ctx_read[cur]);
         } else {
           contexts.write(first, count, emit);
         }
@@ -694,10 +696,10 @@ SimResult SeqSimulator::run(
       for (std::uint32_t gidx = 0; gidx < num_groups; ++gidx) {
         const std::uint32_t first = gidx * k;
         const std::uint32_t count = std::min(k, v - first);
-        contexts.read_into(first, count, payloads);
+        const auto views = contexts.read(first, count);
         for (std::uint32_t i = 0; i < count; ++i) {
           State s;
-          util::Reader r(payloads[i]);
+          util::Reader r(views[i]);
           s.deserialize(r);
           collect(first + i, s);
         }

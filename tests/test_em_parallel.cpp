@@ -204,7 +204,9 @@ TEST(ParallelEngine, SeqSimulatorHammer) {
   EXPECT_GT(result.total_io.parallel_ios, 0u);
   const auto& eng = simr.disks().engine_stats();
   EXPECT_EQ(eng.max_queue_depth, 4u);  // all D transfers issued per I/O
-  EXPECT_EQ(eng.total_ops(),
+  // Every block the model charges is either transferred or an unchanged
+  // context block whose write was elided.
+  EXPECT_EQ(eng.total_ops() + eng.total_elided_tracks(),
             result.total_io.blocks_read + result.total_io.blocks_written);
 }
 

@@ -10,11 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <filesystem>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cgm/graph_list_ranking.hpp"
+#include "em/backend.hpp"
 #include "em/io_stats.hpp"
 #include "obs/histogram.hpp"
 #include "obs/json.hpp"
@@ -25,6 +28,7 @@
 #include "test_programs.hpp"
 #include "util/rng.hpp"
 #include "util/serialization.hpp"
+#include "util/workloads.hpp"
 
 namespace embsp {
 namespace {
@@ -355,6 +359,7 @@ TEST(Registry, EngineStatsExportCoversDrainErrorsAndUring) {
     obs::Registry reg;
     em::export_metrics(stats, reg, "engine.");
     EXPECT_EQ(reg.counter("engine.drain_errors"), 0u);
+    EXPECT_EQ(reg.counter("engine.elided_tracks"), 0u);
     std::ostringstream out;
     reg.write_json(out);
     EXPECT_EQ(out.str().find("engine.last_drain_error_kind"),
@@ -362,6 +367,7 @@ TEST(Registry, EngineStatsExportCoversDrainErrorsAndUring) {
     // No rings → no uring block.
     EXPECT_EQ(out.str().find("engine.uring.sqes"), std::string::npos);
   }
+  stats.per_disk[0].elided_tracks = 5;
   stats.drain_errors = 3;
   stats.last_drain_error_kind = 1;  // persistent
   stats.last_drain_error = "disk 0 track 7: I/O error";
@@ -377,6 +383,8 @@ TEST(Registry, EngineStatsExportCoversDrainErrorsAndUring) {
     obs::Registry reg;
     em::export_metrics(stats, reg, "engine.");
     EXPECT_EQ(reg.counter("engine.drain_errors"), 3u);
+    EXPECT_EQ(reg.counter("engine.disk.0.elided_tracks"), 5u);
+    EXPECT_EQ(reg.counter("engine.elided_tracks"), 5u);
     EXPECT_DOUBLE_EQ(reg.gauge("engine.last_drain_error_kind"), 1.0);
     EXPECT_EQ(reg.counter("engine.uring.rings"), 4u);
     EXPECT_EQ(reg.counter("engine.uring.sqes"), 128u);
@@ -665,6 +673,75 @@ TEST(ObsEndToEnd, SerialAndParallelEnginesByteIdenticalWithMetrics) {
             rec_p.registry.counter("phase.reorganize.parallel_ios"));
   EXPECT_EQ(rec_s.registry.counter("engine.disk.0.ops"),
             rec_p.registry.counter("engine.disk.0.ops"));
+}
+
+/// Sequential EM executor over file-backed drives in a scratch directory.
+class FileSeqExec {
+ public:
+  FileSeqExec(sim::SimConfig cfg, std::string tag)
+      : cfg_(cfg), tag_(std::move(tag)) {}
+
+  template <bsp::Program P>
+  cgm::ExecResult run(
+      const P& prog, std::uint32_t v,
+      const std::function<typename P::State(std::uint32_t)>& make_state,
+      const std::function<void(std::uint32_t, typename P::State&)>& collect) {
+    const auto cfg = cgm::autoconfigure(cfg_, prog, v, make_state);
+    const auto dir = std::filesystem::temp_directory_path();
+    sim::SeqSimulator s(cfg, [&](std::size_t d) {
+      return em::make_file_backend(
+          (dir / ("embsp_obs_elide_" + tag_ + "_" + std::to_string(d) +
+                  ".bin"))
+              .string());
+    });
+    auto r = s.run(prog, make_state, collect);
+    cgm::ExecResult out{r.lambda(), r.costs, std::nullopt};
+    out.sim = std::move(r);
+    return out;
+  }
+
+ private:
+  sim::SimConfig cfg_;
+  std::string tag_;
+};
+
+TEST(ObsEndToEnd, FileBackedListRankingExportsElidedTracks) {
+  // Unchanged context blocks are not written back: the snapshot shows the
+  // saved tracks per disk and in total.  A journaled store (superstep
+  // recovery) writes the other bank and never elides.
+  const auto list = util::random_list(2000, 17).first;
+  std::vector<std::uint64_t> ranks[2];
+  std::uint64_t total_io[2] = {0, 0};
+  for (const bool journaled : {false, true}) {
+    obs::Recorder rec;
+    sim::SimConfig cfg;
+    cfg.machine.em = {64u << 10, 4, 1024, 1.0};
+    cfg.superstep_recovery = journaled;
+    cfg.recorder = &rec;
+    FileSeqExec exec(cfg, journaled ? "journaled" : "plain");
+    const auto out = cgm::cgm_list_ranking(exec, list, 16);
+    ranks[journaled ? 1 : 0] = out.rank1;
+    total_io[journaled ? 1 : 0] = out.exec.sim->total_io.parallel_ios;
+
+    const auto& reg = rec.registry;
+    std::uint64_t per_disk = 0;
+    for (int d = 0; d < 4; ++d) {
+      per_disk += reg.counter("engine.disk." + std::to_string(d) +
+                              ".elided_tracks");
+    }
+    EXPECT_EQ(per_disk, reg.counter("engine.elided_tracks"));
+    if (journaled) {
+      EXPECT_EQ(reg.counter("engine.elided_tracks"), 0u);
+    } else {
+      EXPECT_GT(reg.counter("engine.elided_tracks"), 0u);
+    }
+    std::ostringstream json;
+    reg.write_json(json);
+    expect_golden_snapshot(json.str());
+    EXPECT_NE(json.str().find("\"engine.elided_tracks\""), std::string::npos);
+  }
+  EXPECT_EQ(ranks[0], ranks[1]);
+  EXPECT_EQ(total_io[0], total_io[1]);
 }
 
 }  // namespace

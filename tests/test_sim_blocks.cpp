@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 
 #include "em/disk_array.hpp"
+#include "em/fault_backend.hpp"
 #include "em/io_error.hpp"
 #include "sim/context_store.hpp"
 #include "sim/message_store.hpp"
@@ -314,6 +316,18 @@ TEST(CorruptBlock, GarbledBlockFuzzNeverCrashes) {
   }
 }
 
+/// Owning copies of the payload views a blocking read returns (the views
+/// die with the store's next read).
+std::vector<std::vector<std::byte>> read_copies(ContextStore& store,
+                                                std::uint32_t first,
+                                                std::uint32_t count) {
+  std::vector<std::vector<std::byte>> out;
+  for (const auto view : store.read(first, count)) {
+    out.emplace_back(view.begin(), view.end());
+  }
+  return out;
+}
+
 TEST(ContextStore, RoundTripVariableSizes) {
   em::DiskArray disks(4, 64);
   em::TrackAllocators alloc(4);
@@ -323,7 +337,7 @@ TEST(ContextStore, RoundTripVariableSizes) {
     payloads.emplace_back(i * 9, static_cast<std::byte>(i + 1));
   }
   store.write(0, payloads);
-  auto got = store.read(0, 10);
+  auto got = read_copies(store, 0, 10);
   for (std::uint32_t i = 0; i < 10; ++i) EXPECT_EQ(got[i], payloads[i]);
 }
 
@@ -336,7 +350,7 @@ TEST(ContextStore, PartialGroupReadWrite) {
     payloads.emplace_back(20, static_cast<std::byte>(0x40 + i));
   }
   store.write(4, payloads);
-  auto got = store.read(4, 3);
+  auto got = read_copies(store, 4, 3);
   for (std::uint32_t i = 0; i < 3; ++i) EXPECT_EQ(got[i], payloads[i]);
 }
 
@@ -357,10 +371,288 @@ TEST(ContextStore, FullyParallelGroupAccess) {
                                                std::vector<std::byte>(60));
   store.write(0, payloads);
   disks.reset_stats();
-  (void)store.read(0, 8);
+  (void)read_copies(store, 0, 8);
   EXPECT_EQ(disks.stats().parallel_ios, 2u);  // 8 blocks / 4 disks
   EXPECT_DOUBLE_EQ(disks.stats().utilization(4), 1.0);
 }
+
+// --- ContextStore write elision ----------------------------------------------
+//
+// A write-back drops the transfer of every block that equals the block read
+// from the same track since the context's last write.  The model charge and
+// the disk image must be those of a plain write.
+
+constexpr std::size_t kElideBlock = 64;
+constexpr std::uint32_t kElideContexts = 8;
+constexpr std::size_t kElideMu = 200;  // 4 blocks incl. the length prefix
+
+std::vector<std::byte> elide_payload(std::size_t len, std::uint32_t seed) {
+  std::vector<std::byte> out(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    out[i] = static_cast<std::byte>((seed * 37 + i * 11 + 5) & 0xFF);
+  }
+  return out;
+}
+
+std::vector<std::vector<std::byte>> elide_payloads(std::uint32_t seed) {
+  std::vector<std::vector<std::byte>> out;
+  for (std::uint32_t c = 0; c < kElideContexts; ++c) {
+    out.push_back(elide_payload(30 + 23 * c, seed + c));
+  }
+  return out;
+}
+
+std::uint64_t physical_writes(const em::DiskArray& disks) {
+  std::uint64_t n = 0;
+  for (std::size_t d = 0; d < disks.num_disks(); ++d) {
+    n += disks.disk(d).writes();
+  }
+  return n;
+}
+
+std::uint64_t slot_blocks(std::size_t len) {
+  return (len + sizeof(std::uint32_t) + kElideBlock - 1) / kElideBlock;
+}
+
+std::uint64_t total_slot_blocks(
+    const std::vector<std::vector<std::byte>>& payloads) {
+  std::uint64_t n = 0;
+  for (const auto& p : payloads) n += slot_blocks(p.size());
+  return n;
+}
+
+/// Every block context `ctx` occupies holds the staged slot of `payload`
+/// ([u32 length][payload][zero pad]), read back off-model.
+void expect_disk_holds(em::DiskArray& disks, const ContextStore& store,
+                       std::uint32_t ctx,
+                       const std::vector<std::byte>& payload) {
+  const std::uint64_t used = slot_blocks(payload.size());
+  std::vector<std::byte> slot(used * kElideBlock, std::byte{0});
+  const auto len = static_cast<std::uint32_t>(payload.size());
+  std::memcpy(slot.data(), &len, sizeof(len));
+  std::memcpy(slot.data() + sizeof(len), payload.data(), payload.size());
+  std::vector<std::byte> track(kElideBlock);
+  for (std::uint64_t b = 0; b < used; ++b) {
+    const auto [disk, t] = store.location(ctx, b);
+    em::Disk& d = disks.disk(disk);
+    d.peek_track(t, track, em::unwrap_faults(d.backend()));
+    EXPECT_TRUE(std::equal(track.begin(), track.end(),
+                           slot.begin() + b * kElideBlock))
+        << "context " << ctx << " block " << b;
+  }
+}
+
+void expect_disk_holds_all(em::DiskArray& disks, const ContextStore& store,
+                           const std::vector<std::vector<std::byte>>& payloads) {
+  for (std::uint32_t c = 0; c < payloads.size(); ++c) {
+    expect_disk_holds(disks, store, c, payloads[c]);
+  }
+}
+
+void expect_same_charge(const em::IoStats& a, const em::IoStats& b) {
+  EXPECT_EQ(a.parallel_ios, b.parallel_ios);
+  EXPECT_EQ(a.blocks_read, b.blocks_read);
+  EXPECT_EQ(a.blocks_written, b.blocks_written);
+  EXPECT_EQ(a.bytes_read, b.bytes_read);
+  EXPECT_EQ(a.bytes_written, b.bytes_written);
+}
+
+class ContextElision : public ::testing::TestWithParam<em::IoEngine> {
+ protected:
+  std::unique_ptr<em::DiskArray> make_disks() const {
+    return em::make_disk_array(GetParam(), 4, kElideBlock);
+  }
+};
+
+TEST_P(ContextElision, IdenticalRewriteElidesEveryTrackYetChargesInFull) {
+  const auto payloads = elide_payloads(1);
+  // The charge of a plain write: the first write has no image to compare.
+  auto plain_disks = make_disks();
+  em::TrackAllocators plain_alloc(4);
+  ContextStore plain(*plain_disks, plain_alloc, kElideContexts, kElideMu);
+  plain.write(0, payloads);
+  const em::IoStats plain_charge = plain_disks->stats();
+  EXPECT_EQ(physical_writes(*plain_disks), total_slot_blocks(payloads));
+  EXPECT_EQ(plain_disks->engine_stats().total_elided_tracks(), 0u);
+
+  auto disks = make_disks();
+  em::TrackAllocators alloc(4);
+  ContextStore store(*disks, alloc, kElideContexts, kElideMu);
+  store.write(0, payloads);
+  ContextStore::PendingIo rd;
+  ContextStore::PendingIo wr;
+  store.read_submit(0, kElideContexts, rd);
+  (void)store.read_wait(rd);
+  const std::uint64_t writes_before = physical_writes(*disks);
+  const em::IoStats before = disks->stats();
+  store.write_submit(
+      0, kElideContexts,
+      [&](std::uint32_t ctx, util::Writer& w) { w.write_bytes(payloads[ctx]); },
+      wr, rd);
+  // Charged when the token settles, like any batch.
+  EXPECT_EQ(disks->stats().parallel_ios, before.parallel_ios);
+  store.write_wait(wr);
+  expect_same_charge(disks->stats().since(before), plain_charge);
+  EXPECT_EQ(physical_writes(*disks), writes_before);
+  EXPECT_EQ(disks->engine_stats().total_elided_tracks(),
+            total_slot_blocks(payloads));
+  expect_disk_holds_all(*disks, store, payloads);
+  EXPECT_EQ(read_copies(store, 0, kElideContexts), payloads);
+}
+
+TEST_P(ContextElision, OneChangedByteWritesExactlyThatBlock) {
+  auto payloads = elide_payloads(2);
+  auto disks = make_disks();
+  em::TrackAllocators alloc(4);
+  ContextStore store(*disks, alloc, kElideContexts, kElideMu);
+  store.write(0, payloads);
+  (void)store.read(0, kElideContexts);
+  // Byte 100 of context 6's payload sits in its slot block 1.
+  payloads[6][100] ^= std::byte{0x5A};
+  const auto [disk, track] = store.location(6, 1);
+  const std::uint64_t disk_writes = disks->disk(disk).writes();
+  const std::uint64_t writes_before = physical_writes(*disks);
+  store.write(0, payloads);
+  EXPECT_EQ(physical_writes(*disks), writes_before + 1);
+  EXPECT_EQ(disks->disk(disk).writes(), disk_writes + 1);
+  EXPECT_EQ(disks->engine_stats().total_elided_tracks(),
+            total_slot_blocks(payloads) - 1);
+  expect_disk_holds_all(*disks, store, payloads);
+  EXPECT_EQ(read_copies(store, 0, kElideContexts), payloads);
+}
+
+TEST_P(ContextElision, GrownContextWritesItsNewBlocks) {
+  auto payloads = elide_payloads(3);
+  payloads[2] = elide_payload(40, 9);  // one block
+  payloads[5] = elide_payload(180, 10);  // three blocks
+  auto disks = make_disks();
+  em::TrackAllocators alloc(4);
+  ContextStore store(*disks, alloc, kElideContexts, kElideMu);
+  store.write(0, payloads);
+
+  // Context 2 grows from one block to three: the length prefix changes
+  // block 0, and blocks 1 and 2 are past its old extent.
+  (void)store.read(0, kElideContexts);
+  payloads[2] = elide_payload(180, 9);
+  std::uint64_t writes_before = physical_writes(*disks);
+  std::uint64_t elided_before = disks->engine_stats().total_elided_tracks();
+  store.write(0, payloads);
+  EXPECT_EQ(physical_writes(*disks), writes_before + 3);
+  EXPECT_EQ(disks->engine_stats().total_elided_tracks() - elided_before,
+            total_slot_blocks(payloads) - 3);
+  expect_disk_holds_all(*disks, store, payloads);
+
+  // Context 5 shrinks to one block and grows back to the same three: its
+  // old blocks 1 and 2 are still on disk, but past the extent the read
+  // saw, so they are written again.
+  const auto full = payloads[5];
+  (void)store.read(0, kElideContexts);
+  payloads[5] = elide_payload(20, 11);
+  store.write(0, payloads);
+  (void)store.read(0, kElideContexts);
+  payloads[5] = full;
+  writes_before = physical_writes(*disks);
+  elided_before = disks->engine_stats().total_elided_tracks();
+  store.write(0, payloads);
+  EXPECT_EQ(physical_writes(*disks), writes_before + 3);
+  EXPECT_EQ(disks->engine_stats().total_elided_tracks() - elided_before,
+            total_slot_blocks(payloads) - 3);
+  expect_disk_holds_all(*disks, store, payloads);
+  EXPECT_EQ(read_copies(store, 0, kElideContexts), payloads);
+}
+
+TEST_P(ContextElision, JournaledStoreNeverElides) {
+  const auto payloads = elide_payloads(4);
+  auto disks = make_disks();
+  em::TrackAllocators alloc(4);
+  ContextStore store(*disks, alloc, kElideContexts, kElideMu,
+                     /*journaled=*/true);
+  store.write(0, payloads);
+  store.commit_epoch();
+  (void)store.read(0, kElideContexts);
+  const std::uint64_t writes_before = physical_writes(*disks);
+  store.write(0, payloads);
+  store.commit_epoch();
+  EXPECT_EQ(physical_writes(*disks),
+            writes_before + total_slot_blocks(payloads));
+  EXPECT_EQ(disks->engine_stats().total_elided_tracks(), 0u);
+  expect_disk_holds_all(*disks, store, payloads);
+  EXPECT_EQ(read_copies(store, 0, kElideContexts), payloads);
+}
+
+TEST_P(ContextElision, FaultInjectingArrayNeverElides) {
+  // No fault ever fires (all rates zero), but the schedule counts backend
+  // calls, so the store must keep every one of them.
+  auto disks = em::make_disk_array(
+      GetParam(), 4, kElideBlock, [](std::size_t d) {
+        return std::make_unique<em::FaultInjectingBackend>(
+            em::make_memory_backend(), em::FaultSpec{}, 7,
+            static_cast<std::uint32_t>(d));
+      });
+  const auto payloads = elide_payloads(5);
+  em::TrackAllocators alloc(4);
+  ContextStore store(*disks, alloc, kElideContexts, kElideMu);
+  store.write(0, payloads);
+  (void)store.read(0, kElideContexts);
+  const std::uint64_t writes_before = physical_writes(*disks);
+  store.write(0, payloads);
+  EXPECT_EQ(physical_writes(*disks),
+            writes_before + total_slot_blocks(payloads));
+  EXPECT_EQ(disks->engine_stats().total_elided_tracks(), 0u);
+  expect_disk_holds_all(*disks, store, payloads);
+  EXPECT_EQ(read_copies(store, 0, kElideContexts), payloads);
+}
+
+TEST_P(ContextElision, SecondWriteAfterOneReadWritesEverything) {
+  // The stale-image hazard: after x → read → y, the image still holds x,
+  // but the disk holds y.  Writing x again must write every block.
+  const auto x = elide_payloads(6);
+  const auto y = elide_payloads(60);
+  const auto emit_of = [](const std::vector<std::vector<std::byte>>& p) {
+    return [&p](std::uint32_t ctx, util::Writer& w) {
+      w.write_bytes(p[ctx]);
+    };
+  };
+  {
+    // Blocking path: the image is the store's own read slot.
+    auto disks = make_disks();
+    em::TrackAllocators alloc(4);
+    ContextStore store(*disks, alloc, kElideContexts, kElideMu);
+    store.write(0, x);
+    (void)store.read(0, kElideContexts);
+    store.write(0, y);
+    expect_disk_holds_all(*disks, store, y);
+    const std::uint64_t writes_before = physical_writes(*disks);
+    store.write(0, x);
+    EXPECT_EQ(physical_writes(*disks), writes_before + total_slot_blocks(x));
+    expect_disk_holds_all(*disks, store, x);
+    EXPECT_EQ(read_copies(store, 0, kElideContexts), x);
+  }
+  {
+    // Asynchronous path: the caller hands the same image twice.
+    auto disks = make_disks();
+    em::TrackAllocators alloc(4);
+    ContextStore store(*disks, alloc, kElideContexts, kElideMu);
+    store.write(0, x);
+    ContextStore::PendingIo rd;
+    ContextStore::PendingIo wr;
+    store.read_submit(0, kElideContexts, rd);
+    (void)store.read_wait(rd);
+    store.write_submit(0, kElideContexts, emit_of(y), wr, rd);
+    store.write_wait(wr);
+    expect_disk_holds_all(*disks, store, y);
+    const std::uint64_t writes_before = physical_writes(*disks);
+    store.write_submit(0, kElideContexts, emit_of(x), wr, rd);
+    store.write_wait(wr);
+    EXPECT_EQ(physical_writes(*disks), writes_before + total_slot_blocks(x));
+    expect_disk_holds_all(*disks, store, x);
+    EXPECT_EQ(read_copies(store, 0, kElideContexts), x);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, ContextElision,
+                         ::testing::Values(em::IoEngine::serial,
+                                           em::IoEngine::parallel));
 
 class MessageStoreTest : public ::testing::TestWithParam<RoutingMode> {};
 
