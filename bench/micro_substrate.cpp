@@ -188,6 +188,13 @@ void BM_ContextSwap(benchmark::State& state) {
 }
 BENCHMARK(BM_ContextSwap);
 
+/// Views of owning messages, as the block format takes them.
+std::vector<bsp::MessageRef> refs_of(const std::vector<bsp::Message>& msgs) {
+  std::vector<bsp::MessageRef> refs;
+  for (const auto& m : msgs) refs.push_back({m.src, m.dst, m.seq, m.payload});
+  return refs;
+}
+
 void BM_PackBlocks(benchmark::State& state) {
   std::vector<bsp::Message> msgs(64);
   for (std::uint32_t i = 0; i < msgs.size(); ++i) {
@@ -196,11 +203,10 @@ void BM_PackBlocks(benchmark::State& state) {
     msgs[i].seq = i;
     msgs[i].payload.resize(100 + i);
   }
-  std::vector<const bsp::Message*> ptrs;
-  for (const auto& m : msgs) ptrs.push_back(&m);
+  const auto refs = refs_of(msgs);
   for (auto _ : state) {
     std::size_t blocks = 0;
-    sim::pack_blocks(ptrs, 0, 1024,
+    sim::pack_blocks(refs, 0, 1024,
                      [&](std::span<const std::byte>) { ++blocks; });
     benchmark::DoNotOptimize(blocks);
   }
@@ -215,16 +221,16 @@ void BM_Reassemble(benchmark::State& state) {
     msgs[i].seq = i;
     msgs[i].payload.resize(100 + i, std::byte{5});
   }
-  std::vector<const bsp::Message*> ptrs;
-  for (const auto& m : msgs) ptrs.push_back(&m);
   std::vector<std::vector<std::byte>> blocks;
-  sim::pack_blocks(ptrs, 0, 1024, [&](std::span<const std::byte> b) {
+  sim::pack_blocks(refs_of(msgs), 0, 1024, [&](std::span<const std::byte> b) {
     blocks.emplace_back(b.begin(), b.end());
   });
+  util::Arena arena;
   for (auto _ : state) {
-    sim::Reassembler r;
+    arena.reset();
+    sim::Reassembler r(arena);
     for (const auto& b : blocks) r.absorb(b, 0);
-    auto out = r.take();
+    auto out = r.take_refs();
     benchmark::DoNotOptimize(out);
   }
 }
@@ -244,24 +250,27 @@ void BM_MessageStoreRoundTrip(benchmark::State& state) {
     msgs[i].seq = i;
     msgs[i].payload.resize(200, std::byte{6});
   }
+  const auto refs = refs_of(msgs);
+  util::Arena arena;
   for (auto _ : state) {
-    store.write_messages(msgs, [](std::uint32_t d) { return d / 2; }, rng);
+    store.write_message_refs(refs, [](std::uint32_t d) { return d / 2; },
+                             rng);
     store.flush(rng);
     store.reorganize(rng);
     for (std::uint32_t g = 0; g < 8; ++g) {
-      auto got = store.fetch_group(g);
+      arena.reset();
+      auto got = store.fetch_group_refs(g, arena);
       benchmark::DoNotOptimize(got);
     }
   }
 }
 BENCHMARK(BM_MessageStoreRoundTrip);
 
-// --- Copy-path microbenchmarks ----------------------------------------------
+// --- Copy-path microbenchmark -----------------------------------------------
 //
-// The same message set travels pack -> reassemble -> deliver on the two
-// payload representations.  The owning path materializes a std::vector per
-// message at both ends; the ref path bump-allocates from an arena and hands
-// out spans.
+// A message set travels pack -> reassemble -> deliver the way the
+// simulators move it: payloads bump-allocated from an arena and handed out
+// as spans, with no per-message copy at either end.
 
 std::vector<bsp::Message> make_copy_path_messages(std::size_t n,
                                                   std::size_t payload) {
@@ -275,30 +284,9 @@ std::vector<bsp::Message> make_copy_path_messages(std::size_t n,
   return msgs;
 }
 
-void BM_MessagePathOwned(benchmark::State& state) {
-  const auto msgs = make_copy_path_messages(256, 512);
-  std::vector<const bsp::Message*> ptrs;
-  for (const auto& m : msgs) ptrs.push_back(&m);
-  std::vector<std::vector<std::byte>> blocks;
-  for (auto _ : state) {
-    blocks.clear();
-    sim::pack_blocks(ptrs, 0, 1024, [&](std::span<const std::byte> b) {
-      blocks.emplace_back(b.begin(), b.end());
-    });
-    sim::Reassembler r;
-    for (const auto& b : blocks) r.absorb(b, 0);
-    auto out = r.take();
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 256 *
-                          512);
-}
-BENCHMARK(BM_MessagePathOwned);
-
 void BM_MessagePathRefs(benchmark::State& state) {
   const auto msgs = make_copy_path_messages(256, 512);
-  std::vector<bsp::MessageRef> refs;
-  for (const auto& m : msgs) refs.push_back({m.src, m.dst, m.seq, m.payload});
+  const auto refs = refs_of(msgs);
   std::vector<std::vector<std::byte>> blocks;
   util::Arena arena;
   for (auto _ : state) {
@@ -308,7 +296,7 @@ void BM_MessagePathRefs(benchmark::State& state) {
                      [&](std::span<const std::byte> b) {
                        blocks.emplace_back(b.begin(), b.end());
                      });
-    sim::Reassembler r(/*max_message_bytes=*/0, &arena);
+    sim::Reassembler r(arena);
     for (const auto& b : blocks) r.absorb(b, 0);
     auto out = r.take_refs();
     benchmark::DoNotOptimize(out);
@@ -412,50 +400,29 @@ void emit_artifact() {
   // Copy path: payload bytes copied per superstep handoff, and wall clock.
   {
     const auto msgs = make_copy_path_messages(256, 512);
-    std::vector<const bsp::Message*> ptrs;
-    std::vector<bsp::MessageRef> refs;
-    for (const auto& m : msgs) {
-      ptrs.push_back(&m);
-      refs.push_back({m.src, m.dst, m.seq, m.payload});
-    }
+    const auto refs = refs_of(msgs);
     const double payload_bytes = 256.0 * 512.0;
     std::vector<std::vector<std::byte>> blocks;
-    const double owned_ns = timed_ns(
-        [&] {
-          blocks.clear();
-          sim::pack_blocks(ptrs, 0, 1024, [&](std::span<const std::byte> b) {
-            blocks.emplace_back(b.begin(), b.end());
-          });
-          sim::Reassembler r;
-          for (const auto& b : blocks) r.absorb(b, 0);
-          auto out = r.take();
-          benchmark::DoNotOptimize(out);
-        },
-        200);
     util::Arena arena;
     const double ref_ns = timed_ns(
         [&] {
           blocks.clear();
           arena.reset();
-          sim::pack_blocks(std::span<const bsp::MessageRef>(refs), 0, 1024,
-                           [&](std::span<const std::byte> b) {
-                             blocks.emplace_back(b.begin(), b.end());
-                           });
-          sim::Reassembler r(0, &arena);
+          sim::pack_blocks(refs, 0, 1024, [&](std::span<const std::byte> b) {
+            blocks.emplace_back(b.begin(), b.end());
+          });
+          sim::Reassembler r(arena);
           for (const auto& b : blocks) r.absorb(b, 0);
           auto out = r.take_refs();
           benchmark::DoNotOptimize(out);
         },
         200);
     artifact.begin_case("copy_path");
-    // take() copies every payload byte out of reassembly; take_refs() hands
-    // out arena spans and copies none.
+    // take_refs() hands out arena spans: no payload byte is copied out of
+    // reassembly.
     artifact.metric("payload_bytes", payload_bytes);
-    artifact.metric("bytes_copied_owned", payload_bytes);
     artifact.metric("bytes_copied_refs", 0.0);
-    artifact.metric("owned_ns", owned_ns);
     artifact.metric("refs_ns", ref_ns);
-    artifact.metric("speedup", owned_ns / ref_ns);
   }
 
   // Syscall count: the same batched 64-track-per-disk transfer schedule

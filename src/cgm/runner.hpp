@@ -141,6 +141,7 @@ class DistEmExec {
       const std::function<typename P::State(std::uint32_t)>& make_state,
       const std::function<void(std::uint32_t, typename P::State&)>& collect) {
     auto cfg = autoconfigure(cfg_, prog, v, make_state);
+    cfg.checkpoint.run_index = runs_started_++;  // see SeqEmExec::run
     sim::DistSimulator s(cfg, *tp_);
     auto r = s.run(prog, make_state, collect);
     ExecResult out{r.lambda(), r.costs, std::nullopt};
@@ -151,6 +152,7 @@ class DistEmExec {
  private:
   sim::SimConfig cfg_;
   net::Transport* tp_;
+  std::size_t runs_started_ = 0;
 };
 
 // --- Block distribution helpers --------------------------------------------

@@ -21,7 +21,7 @@ struct LinkStats {
   std::uint64_t frames_received = 0;
   /// Bytes queued toward this peer that have not yet left the endpoint
   /// (posted but undrained); drops back to zero by the end of each
-  /// complete().  The high-water mark measures how much of a phase's
+  /// exchange().  The high-water mark measures how much of a phase's
   /// traffic was in flight at once — the depth the overlap machinery has
   /// to play with.
   std::uint64_t inflight_bytes = 0;
@@ -34,7 +34,7 @@ struct LinkStats {
 /// (the self index is skipped — loopback delivery is not wire traffic)
 /// plus the transport-wide exchange counters.  `overlap_ratio` is the
 /// fraction of outbound wire bytes this endpoint drained outside the
-/// complete() barrier (via post()/progress()), i.e. hidden behind compute
+/// exchange() barrier (via post()/progress()), i.e. hidden behind compute
 /// or disk I/O; 0 when nothing was sent.
 inline void export_link_metrics(obs::Registry& reg,
                                 const std::vector<LinkStats>& links,

@@ -1,10 +1,10 @@
 // In-process loopback transport: p endpoints over one shared mailbox table.
 //
 // post() assembles the gathered fragments into one owned Blob in the
-// staging cell (src, dst) — the same copy the threaded ParSimulator's
-// mailboxes make — and exchange() is a generation-counted condition-variable
-// barrier: the last rank to arrive swaps the staging table into the
-// delivery table and wakes everyone.
+// staging cell (src, dst) — the only copy a block makes between two
+// in-process ranks — and exchange() is a generation-counted
+// condition-variable barrier: the last rank to arrive swaps the staging
+// table into the delivery table and wakes everyone.
 //
 // Safety of the swap: rank r reads only delivery[r], and the delivery table
 // is replaced only when ALL ranks have arrived at the NEXT exchange — which
@@ -54,6 +54,7 @@ class LoopbackTransport final : public Transport {
 
   [[nodiscard]] std::uint32_t rank() const override { return rank_; }
   [[nodiscard]] std::uint32_t size() const override { return group_->p; }
+  [[nodiscard]] bool copies_on_post() const override { return true; }
 
   void post(std::uint32_t dst,
             std::span<const std::span<const std::byte>> frags) override {
@@ -147,7 +148,7 @@ class LoopbackTransport final : public Transport {
 
   void export_metrics(obs::Registry& reg) const override {
     // post() performs the entire transmission before the barrier, so every
-    // wire byte was drained outside complete(): full overlap whenever this
+    // wire byte was drained outside exchange(): full overlap whenever this
     // endpoint sent anything at all.
     std::uint64_t sent = 0;
     for (const auto& l : links_) sent += l.bytes_sent;

@@ -5,16 +5,15 @@
 // barrier and each receives what was posted to it.  `Transport` captures
 // exactly that as a three-call protocol — `post()` queues outgoing
 // messages, `progress()` opportunistically drains them (and buffers
-// arriving bytes) without ever blocking, and `complete()` (historically
-// `exchange()`) is the barrier + delivery — so `DistSimulator` is written
-// once against the interface and runs unchanged over the in-process
-// loopback (tests, parity against the threaded `ParSimulator`) and the
-// Unix-socket/TCP backend (separate worker processes, each with private
-// memory and disks: the machine the EM-BSP model actually describes).
-// Calling progress() between posts lets a rank push its phase's traffic
-// onto the wire while it is still computing or waiting on its disks;
-// skipping it is always correct, merely slower — complete() drains
-// whatever is left.
+// arriving bytes) without ever blocking, and `exchange()` is the barrier +
+// delivery — so `DistSimulator` is written once against the interface and
+// runs unchanged over the in-process loopback (ParSimulator's p ranks on
+// threads) and the Unix-socket/TCP backend (separate worker processes, each
+// with private memory and disks: the machine the EM-BSP model actually
+// describes).  Calling progress() between posts lets a rank push its
+// phase's traffic onto the wire while it is still computing or waiting on
+// its disks; skipping it is always correct, merely slower — exchange()
+// drains whatever is left.
 //
 // Failure semantics: a peer that dies or stalls surfaces as a typed
 // `NetError` (folded into the `em::IoError` taxonomy so callers classify it
@@ -89,10 +88,14 @@ class Transport {
     post(dst, frag);
   }
 
+  /// True when post() copies the fragments before it returns, so a caller
+  /// may post transient spans without keeping them alive (loopback).
+  [[nodiscard]] virtual bool copies_on_post() const { return false; }
+
   /// Non-blocking progress: drain queued sends toward the kernel and
   /// buffer (and pre-parse) whatever peers have already delivered, then
   /// return immediately — never waits, and never throws PeerTimeoutError
-  /// (the io deadline is anchored at complete(), not here; see below).
+  /// (the io deadline is anchored at exchange(), not here; see below).
   /// Wire or framing failures still surface as PeerFailedError /
   /// CorruptFrameError.  The default is a no-op: backends whose post()
   /// already completes the transmission (loopback) need nothing more.
@@ -107,10 +110,6 @@ class Transport {
   /// phase between post() and the barrier cannot trip an io-timeout.
   virtual std::vector<std::vector<Blob>> exchange() = 0;
 
-  /// Named barrier of the post()/progress()/complete() protocol; alias of
-  /// exchange(), kept separate so call sites can say which role they mean.
-  std::vector<std::vector<Blob>> complete() { return exchange(); }
-
   /// Best-effort fatal-error broadcast: peers blocked in exchange() unwind
   /// with PeerFailedError carrying `reason` instead of timing out.
   virtual void abort(const std::string& reason) noexcept = 0;
@@ -122,8 +121,9 @@ class Transport {
 
 /// In-process loopback group: p endpoints sharing one mailbox table, with a
 /// generation-counted barrier.  Endpoint i is rank i; each must be driven
-/// from its own thread.  Used for tests and for `--transport loopback`,
-/// where parity with the threaded ParSimulator is checked byte for byte.
+/// from its own thread.  ParSimulator runs its ranks over one;
+/// `--transport loopback`, tests and benches drive DistSimulator ranks over
+/// one directly.
 std::vector<std::unique_ptr<Transport>> make_loopback_group(
     std::uint32_t p, std::uint64_t timeout_ms = 120'000);
 

@@ -1,11 +1,12 @@
-// Algorithm 3 over a real interconnect: one rank of the p-processor EM-BSP*
-// simulation per DistSimulator instance, communicating through a
-// net::Transport instead of shared-memory mailboxes.
+// Algorithm 3 — ParCompoundSuperstep (§5.2) as a rank loop: one rank of the
+// p-processor EM-BSP* simulation per DistSimulator instance, communicating
+// through a net::Transport.  This is the only p > 1 engine: ParSimulator
+// runs p ranks of it on threads over the in-process loopback transport, and
+// `embsp --transport socket` runs one rank per worker process.
 //
-// This is the threaded ParSimulator's worker loop, factored onto message
-// passing.  Each rank owns a private D-disk array and simulates virtual
-// processors [rank*v/p, (rank+1)*v/p); a compound superstep runs the same
-// v/(p*k) rounds with the same two-phase randomized routing:
+// Each rank owns a private D-disk array and simulates virtual processors
+// [rank*v/p, (rank+1)*v/p); a compound superstep runs v/(p*k) rounds with
+// two-phase randomized routing:
 //
 //   round j:  fetch local blocks of batch j   → exchange #1 (forward to the
 //             destination's owner over the wire),
@@ -16,59 +17,69 @@
 //   step 2:   local SimulateRouting reorganize.
 //   boundary: exchange #3 — an all-to-all control record (per-rank cost
 //             contribution, continue flag, rank 0's cancel sample); every
-//             rank applies the same commutative reduction, so all ranks
-//             append the same SuperstepCost and take the same branch.
+//             rank applies the same
+//             commutative reduction, so all ranks append the same
+//             SuperstepCost and take the same branch.
 //
-// Parity contract (tested byte for byte in tests/test_net.cpp): on the
-// loopback transport, results, SuperstepCosts, IoStats and fault-schedule
-// call indices are identical to the threaded ParSimulator.  The invariants
-// that make this hold:
-//   * identical SimLayout (including the group-capacity inflation),
+// Determinism contract (pinned by golden digests in tests/test_net.cpp and
+// tests/test_sim_par.cpp): for a fixed seed, results, SuperstepCosts,
+// IoStats and fault-schedule call indices depend neither on the transport
+// nor on thread timing.  The invariants that make this hold:
 //   * the per-rank RNG replays the master fork loop (fork advances the
 //     master, so all p forks are drawn in rank order),
-//   * blocks are absorbed in source-rank order 0..p-1, the order the
-//     ParSimulator's mailbox sweep uses,
+//   * blocks are absorbed and written in source-rank order 0..p-1,
 //   * disk arrays use machine-wide drive indices (rank*D + d), keying the
-//     deterministic fault schedule identically,
-//   * cost reduction uses the same max/+ merges, which are commutative, so
+//     deterministic fault schedule per drive,
+//   * cost reduction uses max/+ merges, which are commutative, so
 //     cross-rank reduction order cannot change the result.
 //
-// Pipelined execution (cfg.pipeline): each rank runs the ParSimulator's
-// double-buffered group schedule against its private disks — context
-// prefetch for round r+1 and write-behind for round r-1 ride under round
-// r's compute, message writes ride a bounded write-behind window — and the
-// transport is driven incrementally: forward/scatter blocks are post()ed
-// as they materialize and Transport::progress() is pumped from the fetch,
-// compute and scatter phases, so phase t's wire traffic drains while the
-// rank is still computing or waiting on its disks instead of serializing
-// behind the complete() barrier.  Overlap changes only timing, never
-// content: disk submissions, RNG draws and post ordering are untouched, so
-// the byte-parity contract above holds with the pipeline on (asserted in
-// tests/test_net.cpp), and the won overlap shows up in the obs Registry as
-// net.exchange_overlap_ratio / net.link.<peer>.max_inflight_bytes.
+// Pipelined execution (cfg.pipeline): each rank runs a double-buffered
+// group schedule against its private disks — context prefetch for round
+// r+1 and write-behind for round r-1 ride under round r's compute, message
+// writes ride a bounded write-behind window — and the transport is driven
+// incrementally: forward/scatter blocks are post()ed as they materialize
+// and Transport::progress() is pumped from the fetch, compute and scatter
+// phases, so wire traffic drains while the rank is still computing or
+// waiting on its disks.  Overlap changes only timing, never content.
 //
-// Not supported over a transport (throws up front): durable checkpoints
-// and coordinated superstep recovery.  Transient injected faults are still
-// absorbed rank-locally by the retry machinery; what cannot be absorbed
-// aborts the run with a typed error, broadcast to peers via
-// Transport::abort.
+// Failure model:
+//   * Transient injected faults are absorbed rank-locally by the retry
+//     machinery.
+//   * Coordinated superstep recovery (cfg.superstep_recovery): the
+//     superstep body and the reorganize are recovery units.  A rank whose
+//     transfer exhausts its retry budget keeps making the unit's remaining
+//     exchanges, each carrying a one-byte "failed" flag, so the exchange
+//     schedule stays aligned and a peer can tell a reassembly starved by
+//     that failure from a real error.  A one-byte verdict exchange closes
+//     the unit: on any failure every rank rolls back to the unit's entry
+//     (context epoch, allocators, message chains, RNG) and re-executes,
+//     bounded by cfg.max_superstep_retries.
+//   * Durable checkpoints (cfg.checkpoint): at a due boundary every rank
+//     serializes its own record (save_proc_state), rank 0 gathers the
+//     records and publishes them through CheckpointDir, and a barrier
+//     follows.  On resume each rank restores its own record.
+//   * Anything else aborts the run with a typed error, broadcast to peers
+//     via Transport::abort; the attached registry still receives this
+//     rank's engine, recovery and fault counters.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
+#include <exception>
 #include <functional>
 #include <memory>
+#include <optional>
 
 #include "bsp/direct_runtime.hpp"
 #include "bsp/program.hpp"
 #include "em/disk_array.hpp"
 #include "net/transport.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/context_store.hpp"
+#include "sim/layout_planner.hpp"
 #include "sim/message_store.hpp"
 #include "sim/obs_hooks.hpp"
 #include "sim/requirements.hpp"
-#include "sim/seq_simulator.hpp"
 #include "sim/sim_config.hpp"
 #include "util/thread_pool.hpp"
 
@@ -83,6 +94,9 @@ class DistSimulator {
                 std::function<std::unique_ptr<em::Backend>(std::size_t)>
                     backend = nullptr);
 
+  /// Runs this rank to completion.  `collect` receives all v final states
+  /// (an allgather: every rank hands its driver the complete output); an
+  /// empty `collect` skips them, the rank still ships its own.
   template <bsp::Program P>
   SimResult run(
       const P& prog,
@@ -94,8 +108,10 @@ class DistSimulator {
   [[nodiscard]] std::uint32_t rank() const { return tp_->rank(); }
 
  private:
-  /// The exact field set the ParSimulator's per-round cost merge touches
-  /// (max_wire_* stay zero in the reduced record there too).
+  friend class ParSimulator;
+
+  /// The SuperstepCost fields the per-round cost merge touches (max_wire_*
+  /// stays zero in the reduced record).
   static void merge_cost(bsp::SuperstepCost& into,
                          const bsp::SuperstepCost& c) {
     into.max_work = std::max(into.max_work, c.max_work);
@@ -115,6 +131,9 @@ class DistSimulator {
   net::Transport* tp_;
   std::unique_ptr<em::DiskArray> disks_;
   std::shared_ptr<em::FaultCounters> fault_counters_;
+  /// Set by ParSimulator, whose ranks share one address space: `collect`
+  /// receives only this rank's own final states and none are shipped.
+  bool own_states_only_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -133,11 +152,14 @@ SimResult DistSimulator::run(
   const std::uint32_t local_v = v / p;
   const std::uint32_t me = tp_->rank();
 
-  // Leaf-granular plan consumption, same rationale as the ParSimulator:
-  // forwarding peeks per-block owners, so rounds are leaf-sized already.
+  // The plan is consumed at leaf granularity: forwarding inspects every
+  // block's owner per round, which already makes rounds leaf-sized — the
+  // legality win of a hierarchical plan — while routing stays per leaf
+  // batch (super-packed blocks would mix batches across owners).
   SimLayout layout = LayoutPlanner::plan(cfg_, local_v).leaf;
-  // Same receive-capacity inflation as the ParSimulator (see the comment
-  // there): scattering is balanced only in expectation.
+  // Extra receive capacity per batch: random scattering is balanced only in
+  // expectation, and per-(source, destination-owner) tail blocks add
+  // fragmentation.  Overflow is detected at runtime with a clear error.
   layout.group_capacity = layout.group_capacity * 2 + 4 * p + 4;
   if (layout.total_capacity != 0) {
     layout.total_capacity =
@@ -148,7 +170,7 @@ SimResult DistSimulator::run(
 
   em::TrackAllocators alloc(disks_->num_disks());
   ContextStore contexts(*disks_, alloc, local_v, cfg_.mu,
-                        /*journaled=*/false, me * local_v);
+                        /*journaled=*/cfg_.superstep_recovery, me * local_v);
   MessageStoreConfig mcfg;
   mcfg.num_groups = rounds;
   mcfg.group_capacity_blocks = layout.group_capacity;
@@ -157,8 +179,8 @@ SimResult DistSimulator::run(
   mcfg.max_message_bytes = cfg_.gamma;
   mcfg.memory_budget_bytes = layout.routing_mem_budget;
   MessageStore messages(*disks_, alloc, mcfg);
-  // Per-rank RNG: replay the ParSimulator's fork loop — fork() advances the
-  // master, so every rank must draw all p forks in order and keep its own.
+  // Per-rank RNG: replay the master fork loop — fork() advances the master,
+  // so every rank draws all p forks in order and keeps its own.
   util::Rng rng(0);
   {
     util::Rng master(cfg_.seed);
@@ -167,26 +189,48 @@ SimResult DistSimulator::run(
       if (i == me) rng = f;
     }
   }
-  std::uint64_t rr_scatter = 0;
+  std::uint64_t rr_scatter = 0;  ///< deterministic-mode scatter cursor
   PhaseIo phase_io;
   RoutingStats routing;
   std::uint64_t comm_bytes_this_step = 0;
   std::uint64_t max_comm_bytes_step = 0;
-  std::uint64_t outbox_copied = 0;
-  std::uint64_t arena_peak = 0;
+  std::uint64_t arena_peak = 0;  ///< peak arena residency
   bool want_continue = false;
 
   SimResult result;
   result.group_size = layout.k;
-  std::vector<State> final_states(v);
+  // Collected final states, from virtual processor `state_base` on.
+  const std::uint32_t state_base = own_states_only_ ? me * local_v : 0;
+  std::vector<State> final_states(!collect ? 0
+                                  : own_states_only_ ? local_v
+                                                     : v);
+  auto& disks = *disks_;
+  obs::Recorder* const rec = cfg_.recorder;
+  // Every rank exports its own engine and transport metrics; rank 0 alone
+  // the run-wide ones, so ranks that share a Recorder count them once.
+  const bool exports_run = me == 0;
 
+  // Counters the fresh engine and fault tally restart at zero, carried over
+  // from the checkpointed run so final totals match an uninterrupted run.
+  std::uint64_t base_io_retries = 0;
+  std::uint64_t base_io_giveups = 0;
+  em::FaultCounts base_faults;
+  // This rank's retries, giveups and injected faults (they add up across
+  // ranks; rollback and checkpoint counts are the same on every rank).
+  const auto local_recovery = [&] {
+    RecoveryStats rs;
+    rs.io_retries = base_io_retries + disks.engine_stats().total_retries();
+    rs.io_giveups = base_io_giveups + disks.engine_stats().total_giveups();
+    rs.faults = base_faults;
+    if (fault_counters_ != nullptr) rs.faults += em::snapshot(*fault_counters_);
+    return rs;
+  };
   const auto owner_of = [local_v](std::uint32_t vp) { return vp / local_v; };
+  // Destination batch of a virtual processor: its round index on its owner.
   const auto batch_of = [local_v, k](std::uint32_t vp) {
     return (vp % local_v) / k;
   };
 
-  obs::Recorder* const rec = cfg_.recorder;
-  auto& disks = *disks_;
   // Pipelined double-buffered context staging.  Declared OUTSIDE the try:
   // stack unwinding must not destroy buffers that in-flight transfers
   // still reference — the catch blocks below drain the disk array first.
@@ -203,7 +247,94 @@ SimResult DistSimulator::run(
   } reg_guard;
   std::unique_ptr<util::ComputePool> pool;
   const bool pipelined = cfg_.pipeline;
+  // Settles every in-flight token and resets the staging slots: required
+  // before a rollback restores snapshots (a late-landing write would
+  // corrupt the restored state) and before unwinding past the slots.
+  const auto quiesce = [&] {
+    disks.drain();
+    messages.abandon_inflight();
+    for (int s = 0; s < 2; ++s) {
+      ctx_read[s].reset();
+      ctx_write[s].reset();
+    }
+  };
+  // A failed run still leaves this rank's counters in the registry: that
+  // is when a post-mortem needs them.
+  const auto export_abort = [&]() noexcept {
+    if (rec == nullptr) return;
+    try {
+      auto& reg = rec->registry;
+      disks.harvest_backend_stats();
+      em::export_metrics(disks.engine_stats(), reg,
+                         "proc." + std::to_string(me) + ".engine.");
+      RecoveryStats rs = local_recovery();
+      if (exports_run) {
+        rs.superstep_rollbacks = result.recovery.superstep_rollbacks;
+        rs.reorganize_rollbacks = result.recovery.reorganize_rollbacks;
+        rs.checkpoints = result.recovery.checkpoints;
+        rs.resume_epoch = result.recovery.resume_epoch;
+        reg.add("sim.supersteps", result.costs.num_supersteps());
+      }
+      export_recovery_stats(reg, rs, /*gauges=*/exports_run);
+    } catch (...) {  // never mask the error being propagated
+    }
+  };
+
   try {
+    // --- Durable checkpoint/restart (see sim/checkpoint.hpp) ----------------
+    // Every rank reads the manifest and its own record before the startup
+    // exchange, so no rank can observe an epoch rank 0 publishes later.
+    const std::uint64_t config_fp = config_fingerprint(cfg_);
+    std::optional<CheckpointDir> ckpt;
+    bool ckpt_write = false;
+    std::optional<CheckpointDir::Loaded> loaded;
+    if (cfg_.checkpoint.enabled()) {
+      ckpt.emplace(cfg_.checkpoint.dir);
+      ckpt_write = true;
+      if (cfg_.checkpoint.resume) {
+        const auto m = ckpt->manifest();
+        if (m.has_value() && m->run_index > cfg_.checkpoint.run_index) {
+          ckpt_write = false;  // this run finished before the crash
+        } else {
+          loaded = ckpt->load(cfg_.checkpoint.run_index, config_fp);
+        }
+      }
+    }
+    std::size_t start_step = 0;
+    if (loaded.has_value()) {
+      util::Reader r(loaded->payload);
+      start_step = static_cast<std::size_t>(r.read<std::uint64_t>());
+      result.costs.supersteps = r.read_vector<bsp::SuperstepCost>();
+      result.recovery.superstep_rollbacks = r.read<std::uint64_t>();
+      result.recovery.reorganize_rollbacks = r.read<std::uint64_t>();
+      if (r.read<std::uint32_t>() != p) {
+        throw std::runtime_error("checkpoint: processor count mismatch");
+      }
+      for (std::uint32_t i = 0; i < p; ++i) {
+        const auto n = static_cast<std::size_t>(r.read<std::uint64_t>());
+        const auto bytes = r.read_bytes(n);
+        if (i != me) continue;
+        util::Reader pr(bytes);
+        base_io_retries = pr.read<std::uint64_t>();
+        base_io_giveups = pr.read<std::uint64_t>();
+        base_faults = pr.read<em::FaultCounts>();
+        rr_scatter = pr.read<std::uint64_t>();
+        max_comm_bytes_step = pr.read<std::uint64_t>();
+        arena_peak = pr.read<std::uint64_t>();
+        phase_io = pr.read<PhaseIo>();
+        routing = pr.read<RoutingStats>();
+        load_proc_state(pr, disks, alloc, contexts, messages, rng);
+        if (!pr.exhausted()) {
+          throw std::runtime_error(
+              "checkpoint: trailing bytes in processor record");
+        }
+      }
+      if (!r.exhausted()) {
+        throw std::runtime_error("checkpoint: trailing bytes in payload");
+      }
+      result.recovery.resume_epoch = loaded->epoch;
+    }
+
     if (pipelined) {
       messages.enable_write_behind(4);
       if (cfg_.compute_threads > 1) {
@@ -222,46 +353,168 @@ SimResult DistSimulator::run(
       }
       if (disks.register_io_buffers(regions) > 0) reg_guard.d = &disks;
     }
-    // Initial contexts for this rank's virtual processors.
-    {
-      ObsPhase phase(rec, "init", disks, &phase_io.init, me);
-      for (std::uint32_t r = 0; r < rounds; ++r) {
-        const std::uint32_t first = r * k;
-        const std::uint32_t count = std::min(k, local_v - first);
-        contexts.write(first, count, [&](std::uint32_t ctx, util::Writer& w) {
-          make_state(me * local_v + ctx).serialize(w);
-        });
-      }
-    }
-    // Startup alignment: validates the mesh before the first superstep and
-    // keeps slow-starting peers from eating into round deadlines.
-    (void)tp_->exchange();
-
     // Buffers reused across rounds and supersteps.  The round's contexts
-    // are views into the read staging slot.
+    // are views into the read staging slot; reassembled payloads live in
+    // the inbox arena (reset per round — the previous round's compute has
+    // consumed its refs).
     ContextStore::Views ctx_views;
-    std::vector<std::vector<bsp::Message>> inboxes;
-    std::vector<bsp::Message> outgoing;
     std::vector<State> states;
-    const bool zero_copy = cfg_.zero_copy;
     util::Arena inbox_arena;
     std::vector<std::vector<bsp::MessageRef>> inbox_refs;
     std::vector<bsp::MessageRef> outgoing_refs;
     std::vector<bsp::Outbox> outboxes;
 
     // post() keeps fragment spans alive until exchange() returns — the
-    // socket backend serializes them into the wire at pump time — but the
-    // spans this loop produces are transient (fetch callbacks, pack_blocks
-    // scratch, serialized records), so they are staged into owned buffers
-    // first and the stage is dropped after each exchange.  Growing the
-    // outer vector may move the inner vectors; their heap storage stays
-    // put, so spans posted earlier in the phase remain valid.
+    // socket backend gathers them into the wire at pump time — but the
+    // spans this loop posts are transient (fetch callbacks, pack_blocks
+    // scratch).  A transport that copies on post takes them as they are;
+    // otherwise they are staged into owned buffers dropped after each
+    // exchange.  Growing the outer vector may move the inner vectors; their
+    // heap storage stays put, so spans posted earlier remain valid.
     std::vector<std::vector<std::byte>> wire_stage;
-    const auto post_staged = [&](std::uint32_t dst,
-                                 std::span<const std::byte> bytes) {
-      wire_stage.emplace_back(bytes.begin(), bytes.end());
-      tp_->post(dst, std::span<const std::byte>(wire_stage.back()));
+    const bool stage_posts = !tp_->copies_on_post();
+    const auto post_transient = [&](std::uint32_t dst,
+                                    std::span<const std::byte> bytes) {
+      if (stage_posts) {
+        wire_stage.emplace_back(bytes.begin(), bytes.end());
+        bytes = wire_stage.back();
+      }
+      tp_->post(dst, bytes);
     };
+
+    // --- Coordinated recovery (cfg_.superstep_recovery) --------------------
+    const bool coordinated = cfg_.superstep_recovery;
+    std::size_t unit_exchanges = 0;  ///< exchanges made in the current unit
+    bool peer_failed = false;        ///< a peer flagged a failure this unit
+    static constexpr std::byte kFailed[1] = {std::byte{1}};
+    // Every exchange inside a recovery unit goes through here.  A failed
+    // rank's flag is the last message it posts to a peer and the only one
+    // byte long (blocks are at least kMinBlockSize), so it is stripped
+    // before the caller sees the blocks.
+    const auto unit_exchange = [&] {
+      auto got = tp_->exchange();
+      wire_stage.clear();
+      ++unit_exchanges;
+      if (coordinated) {
+        for (auto& from : got) {
+          if (!from.empty() && from.back().size() == sizeof(kFailed)) {
+            peer_failed = true;
+            from.pop_back();
+          }
+        }
+      }
+      return got;
+    };
+    // After a failure: make the unit's remaining exchanges, flagged, so
+    // every rank reaches the verdict on the same exchange.
+    const auto fail_forward = [&](std::size_t unit_total) {
+      while (unit_exchanges < unit_total) {
+        for (std::uint32_t q = 0; q < p; ++q) {
+          tp_->post(q, std::span<const std::byte>(kFailed));
+        }
+        (void)unit_exchange();
+      }
+    };
+    // The unit's commit point: all ranks see the same OR of the failures.
+    const auto verdict = [&](bool failed) {
+      const std::byte mine[1] = {failed ? std::byte{1} : std::byte{0}};
+      for (std::uint32_t q = 0; q < p; ++q) {
+        tp_->post(q, std::span<const std::byte>(mine));
+      }
+      const auto got = tp_->exchange();
+      bool any = false;
+      for (std::uint32_t src = 0; src < p; ++src) {
+        if (got[src].size() != 1 || got[src][0].size() != 1) {
+          throw net::PeerFailedError(
+              "DistSimulator: malformed verdict from rank " +
+              std::to_string(src));
+        }
+        any = any || got[src][0][0] != std::byte{0};
+      }
+      return any;
+    };
+    // Runs one recovery unit of `unit_total` exchanges.  Without
+    // coordination that is just the unit.  With it, the unit re-executes
+    // from its entry snapshots until a unanimous clean verdict, bounded by
+    // cfg_.max_superstep_retries.  Its reads touch only committed state (the
+    // arena of the previous reorganize, the committed context bank), so a
+    // re-execution sees exactly the original inputs.
+    const auto run_unit = [&](const char* name, std::uint64_t& rollbacks,
+                              std::size_t unit_total, bool body,
+                              auto&& unit) {
+      if (!coordinated) {
+        unit();
+        return;
+      }
+      for (std::size_t attempt = 0;; ++attempt) {
+        const util::Rng rng_ckpt = rng;
+        const std::uint64_t rr_ckpt = rr_scatter;
+        const auto alloc_ckpt = alloc.snapshot();
+        const auto msg_ckpt = messages.snapshot();
+        unit_exchanges = 0;
+        peer_failed = false;
+        std::exception_ptr unit_error;
+        try {
+          unit();
+        } catch (const net::NetError&) {
+          throw;  // the mesh itself failed: nothing to roll back to
+        } catch (const em::IoError&) {
+          // Primary failure: a transfer exhausted its retry budget (or a
+          // checksum failed).
+          unit_error = std::current_exception();
+          quiesce();
+          fail_forward(unit_total);
+        } catch (...) {
+          // Secondary failure: a peer's flagged failure starved this rank
+          // (e.g. an incomplete reassembly).  Anything else is real.
+          if (!peer_failed) throw;
+          quiesce();
+          fail_forward(unit_total);
+        }
+        if (!verdict(unit_error != nullptr)) {
+          if (body && contexts.journaled()) contexts.commit_epoch();
+          return;
+        }
+        quiesce();
+        rng = rng_ckpt;
+        rr_scatter = rr_ckpt;
+        alloc.restore(alloc_ckpt);
+        messages.restore(msg_ckpt);
+        if (body) contexts.discard_epoch();
+        if (attempt >= cfg_.max_superstep_retries) {
+          // Every rank sees the same attempt count: the failing rank
+          // propagates its original error, the others unwind as its peers.
+          if (unit_error != nullptr) std::rethrow_exception(unit_error);
+          throw net::PeerFailedError(std::string("DistSimulator: a peer "
+                                                 "exhausted its ") +
+                                     name + " retry budget");
+        }
+        ++rollbacks;
+        if (exports_run) record_rollback(rec, name, me);
+      }
+    };
+
+    // Initial contexts for this rank's virtual processors — a recovery
+    // unit of its own.  Skipped on resume: the restored context banks
+    // already hold the checkpointed boundary's state.
+    if (!loaded.has_value()) {
+      run_unit("superstep", result.recovery.superstep_rollbacks, 0,
+               /*body=*/true, [&] {
+        ObsPhase phase(rec, "init", disks, &phase_io.init, me);
+        for (std::uint32_t r = 0; r < rounds; ++r) {
+          const std::uint32_t first = r * k;
+          const std::uint32_t count = std::min(k, local_v - first);
+          contexts.write(first, count,
+                         [&](std::uint32_t ctx, util::Writer& w) {
+                           make_state(me * local_v + ctx).serialize(w);
+                         });
+        }
+      });
+    }
+    // Startup alignment: validates the mesh before the first superstep and
+    // keeps slow-starting peers from eating into round deadlines.
+    (void)tp_->exchange();
+
     // Per-vproc compute results, reduced sequentially in vproc order below
     // so cost totals are identical whether compute fans out or not.
     struct VpStats {
@@ -282,51 +535,51 @@ SimResult DistSimulator::run(
       contexts.read_submit(rf, rc, ctx_read[r & 1]);
     };
 
-    for (std::size_t step = 0;; ++step) {
+    for (std::size_t step = start_step;; ++step) {
       if (step >= cfg_.max_supersteps) {
         throw std::runtime_error("DistSimulator: superstep limit exceeded");
       }
-      want_continue = false;
-      comm_bytes_this_step = 0;
-      contexts.set_superstep(step);
       bsp::SuperstepCost local_step_cost;
-      if (pipelined) submit_ctx_read(0);
+      run_unit("superstep", result.recovery.superstep_rollbacks, 2 * rounds,
+               /*body=*/true, [&] {
+        want_continue = false;
+        comm_bytes_this_step = 0;
+        local_step_cost = bsp::SuperstepCost{};
+        contexts.set_superstep(step);
+        if (pipelined) submit_ctx_read(0);
 
-      for (std::uint32_t round = 0; round < rounds; ++round) {
-        // --- Fetch: read local blocks of this batch, forward to owners.
-        // Each block is handed to the transport the moment the disks
-        // surface it and progress() pushes it toward the wire while the
-        // remaining blocks of the batch are still being read.
-        {
-          ObsPhase phase(rec, "fetch_msg", disks, &phase_io.fetch_msg, me);
-          messages.fetch_group_blocks(
-              round, [&](std::span<const std::byte> block) {
-                if (is_dummy_block(block)) return;
-                util::Reader r(block.subspan(kBlockHeaderBytes));
-                r.read<std::uint32_t>();  // src
-                const auto dst = r.read<std::uint32_t>();
-                const auto owner = owner_of(dst);
-                // The fetch callback's span is only valid during the call,
-                // so it goes through the staging copy.
-                post_staged(owner, block);
-                if (owner != me) comm_bytes_this_step += block.size();
-                tp_->progress();
-              });
-        }
-        auto forward = tp_->exchange();
-        wire_stage.clear();
-
-        // --- Compute: reassemble inboxes, run the k virtual supersteps.
-        const std::uint32_t first = round * k;
-        const std::uint32_t count = std::min(k, local_v - first);
-        if (zero_copy) inbox_arena.reset();
-        Reassembler reasm(cfg_.gamma, zero_copy ? &inbox_arena : nullptr);
-        for (std::uint32_t src = 0; src < p; ++src) {
-          for (auto& block : forward[src]) {
-            reasm.absorb(block, round);
+        for (std::uint32_t round = 0; round < rounds; ++round) {
+          // --- Fetch: read local blocks of this batch, forward to owners.
+          // Each block is handed to the transport the moment the disks
+          // surface it and progress() pushes it toward the wire while the
+          // remaining blocks of the batch are still being read.
+          {
+            ObsPhase phase(rec, "fetch_msg", disks, &phase_io.fetch_msg, me);
+            messages.fetch_group_blocks(
+                round, [&](std::span<const std::byte> block) {
+                  if (is_dummy_block(block)) return;
+                  // All chunks in a block share one destination virtual
+                  // processor group (they were packed per owner) — peek at
+                  // the first chunk's dst to find the owner.
+                  util::Reader r(block.subspan(kBlockHeaderBytes));
+                  r.read<std::uint32_t>();  // src
+                  const auto dst = r.read<std::uint32_t>();
+                  const auto owner = owner_of(dst);
+                  post_transient(owner, block);
+                  if (owner != me) comm_bytes_this_step += block.size();
+                  tp_->progress();
+                });
           }
-        }
-        if (zero_copy) {
+          const auto forward = unit_exchange();
+
+          // --- Compute: reassemble inboxes, run the k virtual supersteps.
+          const std::uint32_t first = round * k;
+          const std::uint32_t count = std::min(k, local_v - first);
+          inbox_arena.reset();
+          Reassembler reasm(inbox_arena, cfg_.gamma);
+          for (std::uint32_t src = 0; src < p; ++src) {
+            for (const auto& block : forward[src]) reasm.absorb(block, round);
+          }
           if (inbox_refs.size() < count) inbox_refs.resize(count);
           for (std::uint32_t i = 0; i < count; ++i) inbox_refs[i].clear();
           for (const auto& m : reasm.take_refs()) {
@@ -338,184 +591,146 @@ SimResult DistSimulator::run(
             }
             inbox_refs[local - first].push_back(m);
           }
-        } else {
-          auto incoming = reasm.take();
-          if (inboxes.size() < count) inboxes.resize(count);
-          for (std::uint32_t i = 0; i < count; ++i) inboxes[i].clear();
-          for (auto& m : incoming) {
-            const std::uint32_t local = m.dst - me * local_v;
-            if (owner_of(m.dst) != me || local < first ||
-                local >= first + count) {
-              throw std::runtime_error(
-                  "DistSimulator: block forwarded to the wrong processor");
-            }
-            inboxes[local - first].push_back(std::move(m));
-          }
-        }
 
-        {
-          ObsPhase phase(rec, pipelined ? "prefetch_ctx" : "fetch_ctx",
-                         disks, &phase_io.fetch_ctx, me);
-          if (pipelined) {
-            ctx_views = contexts.read_wait(ctx_read[round & 1]);
-            // Read-ahead: the next round's contexts stream in while this
-            // round computes.
-            if (round + 1 < rounds) submit_ctx_read(round + 1);
-          } else {
-            ctx_views = contexts.read(first, count);
+          {
+            ObsPhase phase(rec, pipelined ? "prefetch_ctx" : "fetch_ctx",
+                           disks, &phase_io.fetch_ctx, me);
+            if (pipelined) {
+              ctx_views = contexts.read_wait(ctx_read[round & 1]);
+              // Read-ahead: the next round's contexts stream in while this
+              // round computes.
+              if (round + 1 < rounds) submit_ctx_read(round + 1);
+            } else {
+              ctx_views = contexts.read(first, count);
+            }
           }
-        }
-        // A fast peer may already be scattering this round's blocks at us;
-        // buffering them now shortens the exchange after the pack below.
-        tp_->progress();
+          // A fast peer may already be scattering this round's blocks at
+          // us; buffering them now shortens the exchange after the pack.
+          tp_->progress();
 
-        states.clear();
-        states.resize(count);
-        vp.assign(count, VpStats{});
-        outboxes.clear();
-        for (std::uint32_t i = 0; i < count; ++i) {
-          outboxes.emplace_back(me * local_v + first + i, v);
-        }
-        outgoing.clear();
-        outgoing_refs.clear();
-        bsp::SuperstepCost local_cost;
-        {
-          ObsPhase compute_phase(rec, "compute", disks, nullptr, me);
-          // Each task touches only index-i data; costs are reduced below
-          // in vproc order, so the totals match the sequential loop.
-          auto task = [&](std::size_t i) {
-            util::Reader r(ctx_views[i]);
-            states[i].deserialize(r);
-            bsp::Inbox in = zero_copy ? bsp::Inbox(std::move(inbox_refs[i]))
-                                      : bsp::Inbox(std::move(inboxes[i]));
-            bsp::WorkMeter m;
-            bsp::ProcEnv env{
-                me * local_v + first + static_cast<std::uint32_t>(i), v, &m};
-            VpStats& s = vp[i];
-            s.cont = prog.superstep(step, env, states[i], in, outboxes[i]);
-            s.work = m.total();
-            for (const auto& msg : outboxes[i].messages()) {
-              s.sent_packets +=
-                  bsp::packets_for(msg.size_bytes(), cfg_.machine.bsp.b);
-              s.sent_wire += bsp::wire_bytes(msg.size_bytes());
-            }
-            s.bytes_sent = outboxes[i].total_bytes();
-            s.num_messages = outboxes[i].messages().size();
-            for (const auto& msg : in.all()) {
-              s.recv_packets +=
-                  bsp::packets_for(msg.size_bytes(), cfg_.machine.bsp.b);
-              s.recv_bytes += msg.size_bytes();
-              s.recv_wire += bsp::wire_bytes(msg.size_bytes());
-            }
-          };
-          if (pool != nullptr) {
-            pool->run(count, task);
-          } else {
-            for (std::uint32_t i = 0; i < count; ++i) task(i);
+          states.clear();
+          states.resize(count);
+          vp.assign(count, VpStats{});
+          outboxes.clear();
+          for (std::uint32_t i = 0; i < count; ++i) {
+            outboxes.emplace_back(me * local_v + first + i, v);
           }
-        }
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const VpStats& s = vp[i];
-          want_continue = want_continue || s.cont;
-          local_cost.max_work = std::max(local_cost.max_work, s.work);
-          local_cost.total_work += s.work;
-          check_gamma(me * local_v + first + i, step, s.sent_wire,
-                      s.recv_wire, cfg_.gamma);
-          local_cost.max_bytes_sent =
-              std::max(local_cost.max_bytes_sent, s.bytes_sent);
-          local_cost.max_packets_sent =
-              std::max(local_cost.max_packets_sent, s.sent_packets);
-          local_cost.max_wire_sent =
-              std::max(local_cost.max_wire_sent, s.sent_wire);
-          local_cost.max_bytes_received =
-              std::max(local_cost.max_bytes_received, s.recv_bytes);
-          local_cost.max_packets_received =
-              std::max(local_cost.max_packets_received, s.recv_packets);
-          local_cost.total_bytes += s.bytes_sent;
-          local_cost.num_messages += s.num_messages;
-          if (zero_copy) {
+          outgoing_refs.clear();
+          {
+            ObsPhase compute_phase(rec, "compute", disks, nullptr, me);
+            // Each task touches only index-i data; costs are reduced below
+            // in vproc order, so the totals match the sequential loop.
+            auto task = [&](std::size_t i) {
+              util::Reader r(ctx_views[i]);
+              states[i].deserialize(r);
+              bsp::Inbox in(std::move(inbox_refs[i]));
+              bsp::WorkMeter m;
+              bsp::ProcEnv env{
+                  me * local_v + first + static_cast<std::uint32_t>(i), v,
+                  &m};
+              VpStats& s = vp[i];
+              s.cont = prog.superstep(step, env, states[i], in, outboxes[i]);
+              s.work = m.total();
+              for (const auto& msg : outboxes[i].messages()) {
+                s.sent_packets +=
+                    bsp::packets_for(msg.size_bytes(), cfg_.machine.bsp.b);
+                s.sent_wire += bsp::wire_bytes(msg.size_bytes());
+              }
+              s.bytes_sent = outboxes[i].total_bytes();
+              s.num_messages = outboxes[i].messages().size();
+              for (const auto& msg : in.all()) {
+                s.recv_packets +=
+                    bsp::packets_for(msg.size_bytes(), cfg_.machine.bsp.b);
+                s.recv_bytes += msg.size_bytes();
+                s.recv_wire += bsp::wire_bytes(msg.size_bytes());
+              }
+            };
+            if (pool != nullptr) {
+              pool->run(count, task);
+            } else {
+              for (std::uint32_t i = 0; i < count; ++i) task(i);
+            }
+          }
+          bsp::SuperstepCost local_cost;
+          for (std::uint32_t i = 0; i < count; ++i) {
+            const VpStats& s = vp[i];
+            want_continue = want_continue || s.cont;
+            local_cost.max_work = std::max(local_cost.max_work, s.work);
+            local_cost.total_work += s.work;
+            check_gamma(me * local_v + first + i, step, s.sent_wire,
+                        s.recv_wire, cfg_.gamma);
+            local_cost.max_bytes_sent =
+                std::max(local_cost.max_bytes_sent, s.bytes_sent);
+            local_cost.max_packets_sent =
+                std::max(local_cost.max_packets_sent, s.sent_packets);
+            local_cost.max_wire_sent =
+                std::max(local_cost.max_wire_sent, s.sent_wire);
+            local_cost.max_bytes_received =
+                std::max(local_cost.max_bytes_received, s.recv_bytes);
+            local_cost.max_packets_received =
+                std::max(local_cost.max_packets_received, s.recv_packets);
+            local_cost.total_bytes += s.bytes_sent;
+            local_cost.num_messages += s.num_messages;
+            // Refs stay valid through the scatter packing below: the
+            // outboxes (and their arenas) outlive this round's writing.
             for (const auto& msg : outboxes[i].messages()) {
               outgoing_refs.push_back(msg);
             }
             arena_peak = std::max<std::uint64_t>(
                 arena_peak, outboxes[i].arena_high_water());
-          } else {
-            for (auto& msg : outboxes[i].take()) {
-              outgoing.push_back(std::move(msg));
-            }
-            outbox_copied += outboxes[i].bytes_copied();
           }
-        }
-        arena_peak =
-            std::max<std::uint64_t>(arena_peak, inbox_arena.high_water());
-        merge_cost(local_step_cost, local_cost);
+          arena_peak =
+              std::max<std::uint64_t>(arena_peak, inbox_arena.high_water());
+          merge_cost(local_step_cost, local_cost);
 
-        // Write contexts back.
-        {
-          ObsPhase phase(rec, pipelined ? "writeback_ctx" : "write_ctx",
-                         disks, &phase_io.write_ctx, me);
-          auto emit = [&](std::uint32_t ctx, util::Writer& w) {
-            states[ctx - first].serialize(w);
-          };
-          if (pipelined) {
-            // Retire round r-2's write-backs, then submit round r's; the
-            // writes overlap the following rounds' compute.
-            contexts.write_wait(ctx_write[round & 1]);
-            contexts.write_submit(first, count, emit, ctx_write[round & 1],
-                                  ctx_read[round & 1]);
-          } else {
-            contexts.write(first, count, emit);
-          }
-        }
-
-        // --- Writing: pack per (owner, batch) and scatter randomly.  The
-        // packed block spans die when pack_blocks returns, so scatter
-        // posts go through the staging copy too.
-        {
-          std::vector<std::uint64_t> dest_keys;
-          std::vector<std::pair<std::uint64_t, std::size_t>> index;
-          const auto slot_of = [&](std::uint32_t dst) {
-            const std::uint64_t key =
-                (static_cast<std::uint64_t>(owner_of(dst)) << 32) |
-                batch_of(dst);
-            for (const auto& [kk, s] : index) {
-              if (kk == key) return s;
+          // Write contexts back.
+          {
+            ObsPhase phase(rec, pipelined ? "writeback_ctx" : "write_ctx",
+                           disks, &phase_io.write_ctx, me);
+            auto emit = [&](std::uint32_t ctx, util::Writer& w) {
+              states[ctx - first].serialize(w);
+            };
+            if (pipelined) {
+              // Retire round r-2's write-backs, then submit round r's; the
+              // writes overlap the following rounds' compute.
+              contexts.write_wait(ctx_write[round & 1]);
+              contexts.write_submit(first, count, emit, ctx_write[round & 1],
+                                    ctx_read[round & 1]);
+            } else {
+              contexts.write(first, count, emit);
             }
-            const std::size_t slot = index.size();
-            index.emplace_back(key, slot);
-            dest_keys.push_back(key);
-            return slot;
-          };
-          const auto scatter_block = [&](std::span<const std::byte> block) {
-            const auto target = static_cast<std::uint32_t>(
-                cfg_.routing == RoutingMode::deterministic
-                    ? (me + rr_scatter++) % p
-                    : rng.below(p));
-            post_staged(target, block);
-            if (target != me) comm_bytes_this_step += block.size();
-            // Sealed blocks go to the wire while the pack continues.
-            tp_->progress();
-          };
-          if (zero_copy) {
+          }
+
+          // --- Writing: pack per (owner, batch) and scatter randomly.
+          {
+            std::vector<std::uint64_t> dest_keys;
             std::vector<std::vector<bsp::MessageRef>> by_dest;
             for (const auto& m : outgoing_refs) {
-              const std::size_t slot = slot_of(m.dst);
-              if (by_dest.size() <= slot) by_dest.resize(slot + 1);
+              const std::uint64_t key =
+                  (static_cast<std::uint64_t>(owner_of(m.dst)) << 32) |
+                  batch_of(m.dst);
+              const auto it =
+                  std::find(dest_keys.begin(), dest_keys.end(), key);
+              const auto slot =
+                  static_cast<std::size_t>(it - dest_keys.begin());
+              if (it == dest_keys.end()) {
+                dest_keys.push_back(key);
+                by_dest.emplace_back();
+              }
               by_dest[slot].push_back(m);
             }
-            for (std::size_t s = 0; s < by_dest.size(); ++s) {
-              const auto batch =
-                  static_cast<std::uint32_t>(dest_keys[s] & 0xFFFFFFFFu);
-              pack_blocks(std::span<const bsp::MessageRef>(by_dest[s]), batch,
-                          disks.block_size(), scatter_block);
-            }
-          } else {
-            std::vector<std::vector<const bsp::Message*>> by_dest;
-            for (const auto& m : outgoing) {
-              const std::size_t slot = slot_of(m.dst);
-              if (by_dest.size() <= slot) by_dest.resize(slot + 1);
-              by_dest[slot].push_back(&m);
-            }
+            // Random intermediate (Lemma 10) — or round robin when the
+            // routing is deterministic.
+            const auto scatter_block = [&](std::span<const std::byte> block) {
+              const auto target = static_cast<std::uint32_t>(
+                  cfg_.routing == RoutingMode::deterministic
+                      ? (me + rr_scatter++) % p
+                      : rng.below(p));
+              post_transient(target, block);
+              if (target != me) comm_bytes_this_step += block.size();
+              // Sealed blocks go to the wire while the pack continues.
+              tp_->progress();
+            };
             for (std::size_t s = 0; s < by_dest.size(); ++s) {
               const auto batch =
                   static_cast<std::uint32_t>(dest_keys[s] & 0xFFFFFFFFu);
@@ -523,46 +738,49 @@ SimResult DistSimulator::run(
                           scatter_block);
             }
           }
-        }
-        auto scattered = tp_->exchange();
-        wire_stage.clear();
+          auto scattered = unit_exchange();
 
-        // --- Receive scattered blocks, write them to local buckets in
-        // source-rank order (the ParSimulator's mailbox sweep order — the
-        // write_block RNG draws must land on the same call indices).
-        {
-          ObsPhase phase(rec, "write_msg", disks, &phase_io.write_msg, me);
-          for (std::uint32_t src = 0; src < p; ++src) {
-            for (auto& block : scattered[src]) {
-              if (zero_copy) {
+          // --- Receive scattered blocks, write them to local buckets in
+          // source-rank order (the write_block RNG draws must land on the
+          // same call indices whatever the arrival timing).
+          {
+            ObsPhase phase(rec, "write_msg", disks, &phase_io.write_msg, me);
+            for (std::uint32_t src = 0; src < p; ++src) {
+              for (auto& block : scattered[src]) {
                 messages.write_block(std::move(block), rng);
-              } else {
-                messages.write_block(block, rng);
               }
             }
           }
         }
-      }
 
-      if (pipelined) {
-        // Drain the pipeline before reorganizing: the last two rounds'
-        // context write-backs and every in-flight message write cycle.
-        {
-          ObsPhase phase(rec, "writeback_ctx", disks, &phase_io.write_ctx,
+        if (pipelined) {
+          // Drain the pipeline before reorganizing: the last two rounds'
+          // context write-backs and every in-flight message write cycle.
+          {
+            ObsPhase phase(rec, "writeback_ctx", disks, &phase_io.write_ctx,
+                           me);
+            contexts.write_wait(ctx_write[rounds & 1]);
+            contexts.write_wait(ctx_write[(rounds + 1) & 1]);
+          }
+          ObsPhase phase(rec, "writeback_msg", disks, &phase_io.write_msg,
                          me);
-          contexts.write_wait(ctx_write[rounds & 1]);
-          contexts.write_wait(ctx_write[(rounds + 1) & 1]);
+          messages.quiesce();
         }
-        ObsPhase phase(rec, "writeback_msg", disks, &phase_io.write_msg, me);
-        messages.quiesce();
-      }
+      });
 
-      // --- Step 2: local SimulateRouting.
-      {
+      // --- Step 2: local SimulateRouting.  Its own recovery unit: it drains
+      // the bucket chains destructively and overwrites the arena (this
+      // superstep's input), so its snapshot is taken at its entry — after
+      // the body committed.
+      RoutingStats attempt_routing;
+      run_unit("reorganize", result.recovery.reorganize_rollbacks, 0,
+               /*body=*/false, [&] {
+        attempt_routing = RoutingStats{};
         ObsPhase phase(rec, "reorganize", disks, &phase_io.reorganize, me);
         messages.flush(rng);
-        routing += messages.reorganize(rng);
-      }
+        attempt_routing += messages.reorganize(rng);
+      });
+      routing += attempt_routing;
       max_comm_bytes_step =
           std::max(max_comm_bytes_step, comm_bytes_this_step);
 
@@ -579,88 +797,154 @@ SimResult DistSimulator::run(
         w.write<std::uint8_t>(cancel_sample ? 1 : 0);
         const auto record = w.take();
         for (std::uint32_t q = 0; q < p; ++q) {
-          post_staged(q, record);
+          tp_->post(q, std::span<const std::byte>(record));
         }
-      }
-      auto controls = tp_->exchange();
-      wire_stage.clear();
-      bsp::SuperstepCost step_cost;
-      bool any = false;
-      bool cancel_seen = false;
-      for (std::uint32_t src = 0; src < p; ++src) {
-        if (controls[src].size() != 1) {
-          throw net::PeerFailedError(
-              "DistSimulator: malformed control record from rank " +
-              std::to_string(src));
+        auto controls = tp_->exchange();
+        bsp::SuperstepCost step_cost;
+        bool any = false;
+        bool cancel_seen = false;
+        for (std::uint32_t src = 0; src < p; ++src) {
+          if (controls[src].size() != 1) {
+            throw net::PeerFailedError(
+                "DistSimulator: malformed control record from rank " +
+                std::to_string(src));
+          }
+          util::Reader r(controls[src][0]);
+          merge_cost(step_cost, r.read<bsp::SuperstepCost>());
+          any = any || r.read<std::uint8_t>() != 0;
+          const bool cancel = r.read<std::uint8_t>() != 0;
+          if (src == 0) cancel_seen = cancel;
         }
-        util::Reader r(controls[src][0]);
-        merge_cost(step_cost, r.read<bsp::SuperstepCost>());
-        any = any || r.read<std::uint8_t>() != 0;
-        const bool cancel = r.read<std::uint8_t>() != 0;
-        if (src == 0) cancel_seen = cancel;
+        // Every rank holds the same reduction, so all of them throw
+        // together.
+        check_exchange(step, step_cost, cfg_.exchange);
+        result.costs.supersteps.push_back(step_cost);
+
+        // --- Durability point (§5.1): the reorganize committed this
+        // superstep's state, so the disks hold a consistent snapshot.
+        if (ckpt.has_value() && ckpt_write && any &&
+            (cancel_seen || (step + 1) % cfg_.checkpoint.every == 0)) {
+          // Capture is parallel — each rank serializes its own disks
+          // (off-model: no IoStats, no fault draws); rank 0 publishes, and
+          // the barrier after it keeps every rank behind a durable epoch.
+          util::Writer cw;
+          const RecoveryStats mine = local_recovery();
+          cw.write<std::uint64_t>(mine.io_retries);
+          cw.write<std::uint64_t>(mine.io_giveups);
+          cw.write<em::FaultCounts>(mine.faults);
+          cw.write<std::uint64_t>(rr_scatter);
+          cw.write<std::uint64_t>(max_comm_bytes_step);
+          cw.write<std::uint64_t>(arena_peak);
+          cw.write<PhaseIo>(phase_io);
+          cw.write<RoutingStats>(routing);
+          save_proc_state(cw, disks, alloc, contexts, messages, rng);
+          const auto own = cw.take();
+          tp_->post(0, std::span<const std::byte>(own));
+          const auto records = tp_->exchange();
+          if (me == 0) {
+            const auto t0 = std::chrono::steady_clock::now();
+            util::Writer g;
+            g.write<std::uint64_t>(step + 1);
+            g.write_vector(result.costs.supersteps);
+            g.write<std::uint64_t>(result.recovery.superstep_rollbacks);
+            g.write<std::uint64_t>(result.recovery.reorganize_rollbacks);
+            g.write<std::uint32_t>(p);
+            for (std::uint32_t src = 0; src < p; ++src) {
+              if (records[src].size() != 1) {
+                throw net::PeerFailedError(
+                    "DistSimulator: malformed checkpoint record from rank " +
+                    std::to_string(src));
+              }
+              g.write_vector(records[src][0]);
+            }
+            const auto payload = g.take();
+            ckpt->publish(cfg_.checkpoint.run_index, step + 1, payload,
+                          config_fp);
+            record_checkpoint(
+                rec, result.recovery.checkpoints + 1, payload.size(),
+                static_cast<std::uint64_t>(
+                    std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count()));
+          }
+          ++result.recovery.checkpoints;
+          (void)tp_->exchange();
+        }
+        if (cancel_seen && any) {
+          throw CanceledError(
+              "DistSimulator: canceled at superstep boundary " +
+              std::to_string(step + 1));
+        }
+        if (!any) break;
       }
-      // Every rank holds the same reduction, so all of them throw together.
-      check_exchange(step, step_cost, cfg_.exchange);
-      result.costs.supersteps.push_back(step_cost);
-      if (cancel_seen && any) {
-        throw CanceledError("DistSimulator: canceled at superstep boundary " +
-                            std::to_string(step + 1));
-      }
-      if (!any) break;
     }
 
-    // Collect this rank's final states, then allgather so every rank can
-    // hand the workload driver the complete output (drivers feed collected
-    // results into the next phase's input, and all ranks must stay in
-    // lockstep).
-    util::Writer local_out;
-    {
+    // Final states — the last recovery unit.  A collecting rank
+    // deserializes its own contexts straight from the read views; unless
+    // the ranks share an address space, every rank also ships its contexts
+    // to all peers, so each worker can hand its driver the complete output.
+    const bool ship_states = !own_states_only_;
+    std::vector<std::byte> blob;
+    run_unit("superstep", result.recovery.superstep_rollbacks, 0,
+             /*body=*/false, [&] {
       ObsPhase phase(rec, "collect", disks, &phase_io.collect, me);
+      util::Writer out;
       for (std::uint32_t r = 0; r < rounds; ++r) {
         const std::uint32_t first = r * k;
         const std::uint32_t count = std::min(k, local_v - first);
         const auto views = contexts.read(first, count);
-        for (const auto view : views) {
-          // The framing of Writer::write_vector, straight from the view.
-          local_out.write<std::uint64_t>(view.size());
-          local_out.write_bytes(view);
+        for (std::uint32_t i = 0; i < count; ++i) {
+          if (collect) {
+            State st;
+            util::Reader rd(views[i]);
+            st.deserialize(rd);
+            final_states[me * local_v + first + i - state_base] =
+                std::move(st);
+          }
+          if (ship_states) {
+            out.write<std::uint64_t>(views[i].size());
+            out.write_bytes(views[i]);
+          }
+        }
+      }
+      blob = out.take();
+    });
+    // Flush barrier for this rank's private disk array (see
+    // SeqSimulator::run).
+    disks.sync();
+    if (ship_states) {
+      for (std::uint32_t q = 0; q < p; ++q) {
+        if (q != me) tp_->post(q, std::span<const std::byte>(blob));
+      }
+      const auto gathered = tp_->exchange();
+      for (std::uint32_t src = 0; src < p && collect; ++src) {
+        if (src == me) continue;
+        if (gathered[src].size() != 1) {
+          throw net::PeerFailedError(
+              "DistSimulator: malformed state record from rank " +
+              std::to_string(src));
+        }
+        util::Reader r(gathered[src][0]);
+        for (std::uint32_t j = 0; j < local_v; ++j) {
+          const auto n = static_cast<std::size_t>(r.read<std::uint64_t>());
+          util::Reader sr(r.read_bytes(n));
+          final_states[src * local_v + j].deserialize(sr);
         }
       }
     }
-    disks.sync();
 
-    {
-      const auto blob = local_out.take();
-      for (std::uint32_t q = 0; q < p; ++q) {
-        post_staged(q, blob);
-      }
-    }
-    auto gathered = tp_->exchange();
-    wire_stage.clear();
-    for (std::uint32_t src = 0; src < p; ++src) {
-      if (gathered[src].size() != 1) {
-        throw net::PeerFailedError(
-            "DistSimulator: malformed state record from rank " +
-            std::to_string(src));
-      }
-      util::Reader r(gathered[src][0]);
-      for (std::uint32_t j = 0; j < local_v; ++j) {
-        const auto bytes = r.read_vector<std::byte>();
-        util::Reader sr(bytes);
-        final_states[src * local_v + j].deserialize(sr);
-      }
-    }
-
-    // --- End-of-run record allgather: every rank assembles the SAME
-    // SimResult the threaded ParSimulator would have produced (max-over-
-    // processors I/O, summed routing stats, reduced overlap), so digests
-    // agree on every rank and with the single-process run.
+    // --- End-of-run record allgather: every rank assembles the same
+    // SimResult (max-over-processors I/O, summed routing and recovery
+    // stats, reduced overlap), so digests agree on every rank.
     disks.harvest_backend_stats();
+    bool mem_routing_all = true;
     {
       util::Writer w;
       w.write<em::IoStats>(disks.stats());
-      w.write<std::uint64_t>(disks.engine_stats().total_retries());
-      w.write<std::uint64_t>(disks.engine_stats().total_giveups());
+      const RecoveryStats mine = local_recovery();
+      w.write<std::uint64_t>(mine.io_retries);
+      w.write<std::uint64_t>(mine.io_giveups);
+      w.write<em::FaultCounts>(mine.faults);
       const auto& eng = disks.engine_stats();
       const std::uint64_t busy = eng.max_busy_ns();
       double clamped = 0.0;
@@ -674,89 +958,85 @@ SimResult DistSimulator::run(
       w.write<RoutingStats>(routing);
       w.write<std::uint64_t>(max_comm_bytes_step);
       w.write<std::uint64_t>(disks.max_tracks_used());
-      em::FaultCounts fc;
-      if (fault_counters_ != nullptr) fc = em::snapshot(*fault_counters_);
-      w.write<em::FaultCounts>(fc);
       w.write<PhaseIo>(phase_io);
-      w.write<std::uint64_t>(messages.bytes_copied() + outbox_copied);
       w.write<std::uint64_t>(arena_peak);
       w.write<std::uint8_t>(messages.in_memory_routing() ? 1 : 0);
       const auto record = w.take();
       for (std::uint32_t q = 0; q < p; ++q) {
-        post_staged(q, record);
+        tp_->post(q, std::span<const std::byte>(record));
       }
-    }
-    auto records = tp_->exchange();
-    wire_stage.clear();
-    std::uint64_t copied_total = 0;
-    std::uint64_t arena_peak_all = 0;
-    bool mem_routing = true;
-    for (std::uint32_t src = 0; src < p; ++src) {
-      if (records[src].size() != 1) {
-        throw net::PeerFailedError(
-            "DistSimulator: malformed end-of-run record from rank " +
-            std::to_string(src));
+      const auto records = tp_->exchange();
+      for (std::uint32_t src = 0; src < p; ++src) {
+        if (records[src].size() != 1) {
+          throw net::PeerFailedError(
+              "DistSimulator: malformed end-of-run record from rank " +
+              std::to_string(src));
+        }
+        util::Reader r(records[src][0]);
+        const auto io = r.read<em::IoStats>();
+        result.per_proc_io.push_back(io);
+        if (io.parallel_ios >= result.total_io.parallel_ios) {
+          result.total_io = io;
+        }
+        result.recovery.io_retries += r.read<std::uint64_t>();
+        result.recovery.io_giveups += r.read<std::uint64_t>();
+        result.recovery.faults += r.read<em::FaultCounts>();
+        const bool has_busy = r.read<std::uint8_t>() != 0;
+        const double ratio = r.read<double>();
+        if (has_busy) {
+          result.overlap_ratio =
+              src == 0 ? ratio : std::min(result.overlap_ratio, ratio);
+        }
+        result.routing_stats += r.read<RoutingStats>();
+        result.real_comm_bytes =
+            std::max(result.real_comm_bytes, r.read<std::uint64_t>());
+        result.max_tracks_per_disk =
+            std::max(result.max_tracks_per_disk, r.read<std::uint64_t>());
+        const auto pio = r.read<PhaseIo>();
+        if (src == 0) result.phase_io = pio;
+        arena_peak = std::max(arena_peak, r.read<std::uint64_t>());
+        if (r.read<std::uint8_t>() == 0) mem_routing_all = false;
       }
-      util::Reader r(records[src][0]);
-      const auto io = r.read<em::IoStats>();
-      result.per_proc_io.push_back(io);
-      if (io.parallel_ios >= result.total_io.parallel_ios) {
-        result.total_io = io;
-      }
-      result.recovery.io_retries += r.read<std::uint64_t>();
-      result.recovery.io_giveups += r.read<std::uint64_t>();
-      const bool has_busy = r.read<std::uint8_t>() != 0;
-      const double clamped = r.read<double>();
-      if (has_busy) {
-        result.overlap_ratio =
-            src == 0 ? clamped : std::min(result.overlap_ratio, clamped);
-      }
-      result.routing_stats += r.read<RoutingStats>();
-      result.real_comm_bytes =
-          std::max(result.real_comm_bytes, r.read<std::uint64_t>());
-      result.max_tracks_per_disk =
-          std::max(result.max_tracks_per_disk, r.read<std::uint64_t>());
-      result.recovery.faults += r.read<em::FaultCounts>();
-      const auto pio = r.read<PhaseIo>();
-      if (src == 0) result.phase_io = pio;
-      copied_total += r.read<std::uint64_t>();
-      arena_peak_all = std::max(arena_peak_all, r.read<std::uint64_t>());
-      mem_routing = mem_routing && r.read<std::uint8_t>() != 0;
     }
 
     if (rec != nullptr) {
       auto& reg = rec->registry;
       em::export_metrics(disks.engine_stats(), reg,
                          "proc." + std::to_string(me) + ".engine.");
-      export_routing_stats(reg, result.routing_stats);
-      export_recovery_stats(reg, result.recovery);
-      reg.add("sim.supersteps", result.costs.num_supersteps());
-      reg.set_gauge("sim.group_size", static_cast<double>(result.group_size));
-      reg.set_gauge("sim.max_tracks_per_disk",
-                    static_cast<double>(result.max_tracks_per_disk));
-      reg.set_gauge("sim.real_comm_bytes",
-                    static_cast<double>(result.real_comm_bytes));
-      reg.set_gauge("sim.overlap_ratio", result.overlap_ratio);
-      reg.add("sim.bytes_copied", copied_total);
-      reg.set_gauge("sim.arena_bytes", static_cast<double>(arena_peak_all));
-      reg.set_gauge("sim.in_memory_routing", mem_routing ? 1.0 : 0.0);
+      if (exports_run) {
+        export_routing_stats(reg, result.routing_stats);
+        export_recovery_stats(reg, result.recovery);
+        reg.add("sim.supersteps", result.costs.num_supersteps());
+        reg.set_gauge("sim.group_size",
+                      static_cast<double>(result.group_size));
+        reg.set_gauge("sim.max_tracks_per_disk",
+                      static_cast<double>(result.max_tracks_per_disk));
+        reg.set_gauge("sim.real_comm_bytes",
+                      static_cast<double>(result.real_comm_bytes));
+        reg.set_gauge("sim.overlap_ratio", result.overlap_ratio);
+        // Worst peak arena residency over all ranks.
+        reg.set_gauge("sim.arena_bytes", static_cast<double>(arena_peak));
+        reg.set_gauge("sim.in_memory_routing", mem_routing_all ? 1.0 : 0.0);
+      }
       tp_->export_metrics(reg);
     }
   } catch (const std::exception& e) {
     // Settle in-flight tokens before unwinding past their staging buffers,
     // then poison the mesh so peers fail fast instead of timing out.
-    disks.drain();
-    messages.abandon_inflight();
+    quiesce();
     tp_->abort(e.what());
+    export_abort();
     throw;
   } catch (...) {
-    disks.drain();
-    messages.abandon_inflight();
+    quiesce();
     tp_->abort("unknown error");
+    export_abort();
     throw;
   }
 
-  for (std::uint32_t vp = 0; vp < v; ++vp) collect(vp, final_states[vp]);
+  for (std::size_t i = 0; i < final_states.size(); ++i) {
+    collect(state_base + static_cast<std::uint32_t>(i), final_states[i]);
+  }
   return result;
 }
 

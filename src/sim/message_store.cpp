@@ -131,25 +131,22 @@ void MessageStore::stage_account(std::uint32_t group, bool dummy) {
   if (!dummy) ++staged_real_[group];
 }
 
-void MessageStore::stage(std::uint32_t group, std::span<const std::byte> block,
+void MessageStore::stage(std::uint32_t group, std::vector<std::byte>&& block,
                          util::Rng& rng) {
   stage_account(group, is_dummy_block(block));
-  bytes_copied_ += block.size();
   if (mem_mode_) {
-    mem_staged_[group].emplace_back(block.begin(), block.end());
+    mem_staged_[group].push_back(std::move(block));
     return;
   }
-  pending_.push_back(
-      {bucket_of_group(group),
-       std::vector<std::byte>(block.begin(), block.end())});
+  pending_.push_back({bucket_of_group(group), std::move(block)});
   if (pending_.size() == num_disks_) flush(rng);
 }
 
 std::span<std::byte> MessageStore::stage_alloc(std::uint32_t group,
                                                util::Rng& rng) {
   // Completing the previous block may have filled the write cycle; flush
-  // BEFORE accounting the next block so the RNG-draw order matches the
-  // copying path (which flushes inside stage(), right after its push).
+  // BEFORE accounting the next block, so the RNG draws land where stage()
+  // makes them (it flushes right after the push that fills a cycle).
   if (!mem_mode_ && pending_.size() == num_disks_) flush(rng);
   stage_account(group, /*dummy=*/false);
   if (mem_mode_) {
@@ -159,31 +156,6 @@ std::span<std::byte> MessageStore::stage_alloc(std::uint32_t group,
   pending_.push_back(
       {bucket_of_group(group), std::vector<std::byte>(block_size_)});
   return {pending_.back().data.data(), block_size_};
-}
-
-void MessageStore::write_messages(
-    std::span<const bsp::Message> messages,
-    const std::function<std::uint32_t(std::uint32_t)>& group_of,
-    util::Rng& rng) {
-  // Partition messages by destination group, then pack each group's
-  // messages into blocks ("each block inherits the destination address").
-  std::vector<std::vector<const bsp::Message*>> per_group;
-  for (const auto& m : messages) {
-    const std::uint32_t g = group_of(m.dst);
-    if (g >= cfg_.num_groups) {
-      throw std::out_of_range("MessageStore: message to unknown group " +
-                              std::to_string(g));
-    }
-    if (per_group.size() <= g) per_group.resize(g + 1);
-    per_group[g].push_back(&m);
-  }
-  for (std::uint32_t g = 0; g < per_group.size(); ++g) {
-    if (per_group[g].empty()) continue;
-    pack_blocks(per_group[g], g, block_size_,
-                [&](std::span<const std::byte> block) {
-                  stage(g, block, rng);
-                });
-  }
 }
 
 void MessageStore::write_message_refs(
@@ -204,28 +176,16 @@ void MessageStore::write_message_refs(
     if (per_group[g].empty()) continue;
     pack_blocks_into(per_group[g], g, block_size_,
                      [&]() { return stage_alloc(g, rng); });
-    // The copying path flushes inside stage() the moment a cycle fills;
-    // mirror that here in case this group's last block completed one.
+    // stage() flushes the moment a cycle fills; mirror that here in case
+    // this group's last block completed one.
     if (!mem_mode_ && pending_.size() == num_disks_) flush(rng);
   }
-}
-
-void MessageStore::write_block(std::span<const std::byte> block,
-                               util::Rng& rng) {
-  const BlockHeader h = parse_header(block);
-  stage(h.dst_group, block, rng);
 }
 
 void MessageStore::write_block(std::vector<std::byte>&& block,
                                util::Rng& rng) {
   const BlockHeader h = parse_header(block);
-  stage_account(h.dst_group, is_dummy_block(block));
-  if (mem_mode_) {
-    mem_staged_[h.dst_group].push_back(std::move(block));
-    return;
-  }
-  pending_.push_back({bucket_of_group(h.dst_group), std::move(block)});
-  if (pending_.size() == num_disks_) flush(rng);
+  stage(h.dst_group, std::move(block), rng);
 }
 
 void MessageStore::flush(util::Rng& rng) {
@@ -363,12 +323,12 @@ RoutingStats MessageStore::reorganize(util::Rng& rng) {
   // group is filled to capacity so each superstep's routing cost is the
   // fixed worst case that Lemma 3 analyzes.
   if (cfg_.mode == RoutingMode::padded) {
-    std::vector<std::byte> dummy;
     for (std::uint32_t g = 0; g < cfg_.num_groups; ++g) {
       while (staged_count_[g] < cfg_.group_capacity_blocks) {
+        std::vector<std::byte> dummy;
         make_dummy_block(g, block_size_, dummy);
         stats.dummy_blocks += 1;
-        stage(g, dummy, rng);
+        stage(g, std::move(dummy), rng);
       }
     }
   }
@@ -718,7 +678,7 @@ void MessageStore::fetch_group_submit(std::uint32_t g, PendingFetch& pf) {
 void MessageStore::absorb_fetch(PendingFetch& pf, Reassembler& r) {
   if (!pf.active) {
     throw std::logic_error(
-        "MessageStore::fetch_group_wait: no fetch in flight");
+        "MessageStore::fetch_group_wait_refs: no fetch in flight");
   }
   for (const auto t : pf.tokens) disks_->wait(t);
   pf.tokens.clear();
@@ -734,29 +694,16 @@ void MessageStore::absorb_fetch(PendingFetch& pf, Reassembler& r) {
   }
 }
 
-std::vector<bsp::Message> MessageStore::fetch_group_wait(PendingFetch& pf) {
-  Reassembler r(cfg_.max_message_bytes);
-  absorb_fetch(pf, r);
-  return r.take();
-}
-
 std::vector<bsp::MessageRef> MessageStore::fetch_group_wait_refs(
     PendingFetch& pf, util::Arena& arena) {
-  Reassembler r(cfg_.max_message_bytes, &arena);
+  Reassembler r(arena, cfg_.max_message_bytes);
   absorb_fetch(pf, r);
   return r.take_refs();
 }
 
-std::vector<bsp::Message> MessageStore::fetch_group(std::uint32_t g) {
-  Reassembler r(cfg_.max_message_bytes);
-  fetch_group_blocks(
-      g, [&](std::span<const std::byte> block) { r.absorb(block, g); });
-  return r.take();
-}
-
 std::vector<bsp::MessageRef> MessageStore::fetch_group_refs(
     std::uint32_t g, util::Arena& arena) {
-  Reassembler r(cfg_.max_message_bytes, &arena);
+  Reassembler r(arena, cfg_.max_message_bytes);
   fetch_group_blocks(
       g, [&](std::span<const std::byte> block) { r.absorb(block, g); });
   return r.take_refs();
@@ -803,7 +750,6 @@ void MessageStore::export_state(util::Writer& w) {
   w.write_vector(ready_count_);
   w.write_vector(ready_real_);
   w.write_vector(ready_base_);
-  w.write<std::uint64_t>(bytes_copied_);
   if (mem_mode_) {
     for (std::uint32_t g = 0; g < cfg_.num_groups; ++g) {
       for (const auto& block : mem_ready_[g]) {
@@ -839,7 +785,6 @@ void MessageStore::restore_state(util::Reader& r) {
   ready_count_ = r.read_vector<std::uint64_t>();
   ready_real_ = r.read_vector<std::uint64_t>();
   ready_base_ = r.read_vector<std::uint64_t>();
-  bytes_copied_ = r.read<std::uint64_t>();
   if (rr_next_.size() != num_disks_ ||
       ready_count_.size() != cfg_.num_groups ||
       ready_real_.size() != cfg_.num_groups ||

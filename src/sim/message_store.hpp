@@ -3,8 +3,9 @@
 //
 // Lifecycle within one compound superstep:
 //
-//   fetch_group(g)      — read group g's reorganized messages (Fetch Phase)
-//   write_messages(...) — cut the messages generated by the current group
+//   fetch_group_refs(g) — read group g's reorganized messages (Fetch Phase)
+//   write_message_refs(...)
+//                       — cut the messages generated by the current group
 //                         into size-B blocks and stage them into the D
 //                         buckets in randomized write cycles (Writing Phase)
 //   flush(); reorganize(rng)
@@ -44,7 +45,7 @@ struct MessageStoreConfig {
   std::uint64_t group_capacity_blocks = 1;
   RoutingMode mode = RoutingMode::compact;
   /// Upper bound on a single reassembled message's size, passed to the
-  /// Reassembler in fetch_group so garbled on-disk headers cannot trigger
+  /// Reassembler on fetch so garbled on-disk headers cannot trigger
   /// unbounded allocations.  0 = uncapped; the simulators pass gamma.
   std::uint64_t max_message_bytes = 0;
   /// RoutingMode::automatic only: staging bytes the store may keep resident
@@ -89,27 +90,16 @@ class MessageStore {
 
   // --- Writing phase ------------------------------------------------------
 
-  /// Cut `messages` into blocks by destination group and stage them.
-  void write_messages(std::span<const bsp::Message> messages,
-                      const std::function<std::uint32_t(std::uint32_t dst)>&
-                          group_of,
-                      util::Rng& rng);
-
-  /// Zero-copy variant: packs MessageRef views (arena-backed payloads)
-  /// directly into the staged block buffers via pack_blocks_into, skipping
-  /// the per-block bounce copy of the Message path.  Placement, RNG draws
-  /// and capacity accounting happen in the identical order, so the disk
-  /// image is byte-identical to write_messages for the same traffic.
+  /// Cut `messages` (arena-backed payloads) into blocks by destination group,
+  /// packed in place into the staged block buffers via pack_blocks_into,
+  /// and stage them.
   void write_message_refs(std::span<const bsp::MessageRef> messages,
                           const std::function<std::uint32_t(std::uint32_t)>&
                               group_of,
                           util::Rng& rng);
 
-  /// Stage one pre-formed block (used by the parallel simulator, which
-  /// receives ready-made blocks from peer processors).
-  void write_block(std::span<const std::byte> block, util::Rng& rng);
-
-  /// Move overload: takes ownership of the buffer instead of copying it.
+  /// Stage one pre-formed block, taking ownership of its buffer (used by
+  /// the rank loop, which receives ready-made blocks from peer ranks).
   void write_block(std::vector<std::byte>&& block, util::Rng& rng);
 
   /// Write out any pending partial write cycle.
@@ -153,15 +143,12 @@ class MessageStore {
       std::uint32_t g,
       const std::function<void(std::span<const std::byte>)>& consume);
 
-  /// Convenience: fetch + reassemble into complete messages.
-  [[nodiscard]] std::vector<bsp::Message> fetch_group(std::uint32_t g);
-
-  /// Zero-copy fetch: payloads are bump-allocated from `arena` and the
+  /// Fetch + reassemble: payloads are bump-allocated from `arena` and the
   /// returned refs stay valid until the arena resets.
   [[nodiscard]] std::vector<bsp::MessageRef> fetch_group_refs(
       std::uint32_t g, util::Arena& arena);
 
-  /// One in-flight group prefetch: the arena reads of fetch_group,
+  /// One in-flight group prefetch: the arena reads of fetch_group_refs,
   /// submitted up front (same <=D batching as the blocking path, so model
   /// cost is identical) and reassembled at wait time.  Caller-owned for
   /// double buffering; the buffer is grow-only across supersteps.
@@ -178,11 +165,8 @@ class MessageStore {
   /// the same bytes the blocking fetch would.
   void fetch_group_submit(std::uint32_t g, PendingFetch& pf);
 
-  /// Wait the submitted reads and reassemble, absorbing blocks in the same
-  /// t order as fetch_group.
-  [[nodiscard]] std::vector<bsp::Message> fetch_group_wait(PendingFetch& pf);
-
-  /// Zero-copy variant of fetch_group_wait (see fetch_group_refs).
+  /// Wait the submitted reads and reassemble into `arena`, absorbing blocks
+  /// in the same t order as fetch_group_refs.
   [[nodiscard]] std::vector<bsp::MessageRef> fetch_group_wait_refs(
       PendingFetch& pf, util::Arena& arena);
 
@@ -215,10 +199,6 @@ class MessageStore {
   [[nodiscard]] std::uint64_t distribute_cycles() const {
     return dist_cycles_;
   }
-
-  /// Payload/block bytes this store copied through staging (the traffic the
-  /// zero-copy write path avoids); feeds the "sim.bytes_copied" counter.
-  [[nodiscard]] std::uint64_t bytes_copied() const { return bytes_copied_; }
 
   // --- Introspection (tests / benches) -------------------------------------
 
@@ -278,7 +258,7 @@ class MessageStore {
   void restore_state(util::Reader& r);
 
  private:
-  void stage(std::uint32_t group, std::span<const std::byte> block,
+  void stage(std::uint32_t group, std::vector<std::byte>&& block,
              util::Rng& rng);
   /// Capacity/count bookkeeping shared by every staging path; throws on
   /// group range / capacity violations.
@@ -302,8 +282,7 @@ class MessageStore {
   /// leaf `li` of the currently distributed super-group.
   void submit_leaf_reads(std::uint32_t li, std::vector<std::byte>& buf,
                          std::vector<em::DiskArray::IoToken>& tokens);
-  /// Shared tail of the fetch_group_wait variants: settle the tokens and
-  /// absorb every block in t order.
+  /// Settle a prefetch's tokens and absorb every block in t order.
   void absorb_fetch(PendingFetch& pf, Reassembler& r);
 
   em::DiskArray* disks_;
@@ -346,7 +325,6 @@ class MessageStore {
   bool mem_mode_ = false;  // automatic routing, budget admitted
   std::vector<std::vector<std::vector<std::byte>>> mem_staged_;  // per group
   std::vector<std::vector<std::vector<std::byte>>> mem_ready_;   // per group
-  std::uint64_t bytes_copied_ = 0;
   std::vector<std::uint64_t> staged_count_;  // per group, writing side
   std::vector<std::uint64_t> staged_real_;   // excluding dummy padding
   std::vector<std::uint64_t> ready_count_;   // per group, fetch side

@@ -96,15 +96,20 @@ inline void record_checkpoint(obs::Recorder* rec, std::uint64_t count,
                         static_cast<double>(latency_ns));
 }
 
-inline void export_recovery_stats(obs::Registry& reg,
-                                  const RecoveryStats& rc) {
+/// `gauges` = false exports only the counters, which add up across
+/// several exporters sharing one registry (one rank's share of a run).
+inline void export_recovery_stats(obs::Registry& reg, const RecoveryStats& rc,
+                                  bool gauges = true) {
   reg.add("recovery.io_retries", rc.io_retries);
   reg.add("recovery.io_giveups", rc.io_giveups);
   reg.add("recovery.superstep_rollbacks", rc.superstep_rollbacks);
   reg.add("recovery.reorganize_rollbacks", rc.reorganize_rollbacks);
-  reg.set_gauge("recovery.checkpoints", static_cast<double>(rc.checkpoints));
-  reg.set_gauge("recovery.resume_epoch",
-                static_cast<double>(rc.resume_epoch));
+  if (gauges) {
+    reg.set_gauge("recovery.checkpoints",
+                  static_cast<double>(rc.checkpoints));
+    reg.set_gauge("recovery.resume_epoch",
+                  static_cast<double>(rc.resume_epoch));
+  }
   reg.add("faults.injected.read_errors", rc.faults.read_errors);
   reg.add("faults.injected.write_errors", rc.faults.write_errors);
   reg.add("faults.injected.torn_writes", rc.faults.torn_writes);

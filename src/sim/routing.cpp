@@ -23,14 +23,11 @@ std::uint16_t get_u16(const std::byte* p) {
   return v;
 }
 
-// Shared packing core.  `get(i)` yields anything with src/dst/seq fields
-// and a payload supporting data()/size() (bsp::Message or bsp::MessageRef),
-// so the copying and zero-copy entry points run the identical algorithm and
-// produce bit-identical blocks.  Blocks are written in place into spans
-// handed out by `alloc`; the previously returned span is fully written
-// (header, chunks, zero pad) before the next alloc call.
-template <typename GetMsg>
-std::size_t pack_core(std::size_t count, GetMsg&& get,
+// Shared packing core of pack_blocks and pack_blocks_into, so both produce
+// bit-identical blocks.  Blocks are written in place into spans handed out
+// by `alloc`; the previously returned span is fully written (header,
+// chunks, zero pad) before the next alloc call.
+std::size_t pack_core(std::span<const bsp::MessageRef> messages,
                       std::uint32_t dst_group, std::size_t block_size,
                       const std::function<std::span<std::byte>()>& alloc) {
   if (block_size < kMinBlockSize) {
@@ -60,8 +57,7 @@ std::size_t pack_core(std::size_t count, GetMsg&& get,
     }
   };
 
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto& m = get(i);
+  for (const auto& m : messages) {
     const auto total = static_cast<std::uint32_t>(m.payload.size());
     std::uint32_t offset = 0;
     // Emit at least one chunk even for empty messages.
@@ -96,19 +92,20 @@ std::size_t pack_core(std::size_t count, GetMsg&& get,
   return produced;
 }
 
+}  // namespace
+
 // Adapts the emit-style interface onto the alloc core: one bounce buffer,
 // emitted when the core completes it (i.e. just before the next alloc and
 // once more after the core returns — every alloc'd block gets >= 1 chunk,
 // so the counts always match).
-template <typename GetMsg>
-std::size_t pack_emit(std::size_t count, GetMsg&& get, std::uint32_t dst_group,
-                      std::size_t block_size,
-                      const std::function<void(std::span<const std::byte>)>&
-                          emit) {
+std::size_t pack_blocks(
+    std::span<const bsp::MessageRef> messages, std::uint32_t dst_group,
+    std::size_t block_size,
+    const std::function<void(std::span<const std::byte>)>& emit) {
   std::vector<std::byte> buf(block_size >= kMinBlockSize ? block_size : 0);
   bool have = false;
-  const std::size_t produced = pack_core(
-      count, std::forward<GetMsg>(get), dst_group, block_size, [&]() {
+  const std::size_t produced =
+      pack_core(messages, dst_group, block_size, [&]() {
         if (have) emit(buf);
         have = true;
         return std::span<std::byte>(buf);
@@ -117,37 +114,11 @@ std::size_t pack_emit(std::size_t count, GetMsg&& get, std::uint32_t dst_group,
   return produced;
 }
 
-}  // namespace
-
-std::size_t pack_blocks(
-    std::span<const bsp::Message* const> messages, std::uint32_t dst_group,
-    std::size_t block_size,
-    const std::function<void(std::span<const std::byte>)>& emit) {
-  return pack_emit(
-      messages.size(), [&](std::size_t i) -> const bsp::Message& {
-        return *messages[i];
-      },
-      dst_group, block_size, emit);
-}
-
-std::size_t pack_blocks(
-    std::span<const bsp::MessageRef> messages, std::uint32_t dst_group,
-    std::size_t block_size,
-    const std::function<void(std::span<const std::byte>)>& emit) {
-  return pack_emit(
-      messages.size(),
-      [&](std::size_t i) -> const bsp::MessageRef& { return messages[i]; },
-      dst_group, block_size, emit);
-}
-
 std::size_t pack_blocks_into(
     std::span<const bsp::MessageRef> messages, std::uint32_t dst_group,
     std::size_t block_size,
     const std::function<std::span<std::byte>()>& alloc) {
-  return pack_core(
-      messages.size(),
-      [&](std::size_t i) -> const bsp::MessageRef& { return messages[i]; },
-      dst_group, block_size, alloc);
+  return pack_core(messages, dst_group, block_size, alloc);
 }
 
 void make_dummy_block(std::uint32_t dst_group, std::size_t block_size,
@@ -258,23 +229,15 @@ Reassembler::Partial* Reassembler::find_or_create(std::uint32_t src,
   auto [it, inserted] = partial_.try_emplace(ChunkKey{src, dst, seq});
   Partial& p = it->second;
   if (inserted) {
-    p.msg.src = src;
-    p.msg.dst = dst;
-    p.msg.seq = seq;
-    if (arena_ != nullptr) {
-      p.buf = arena_->allocate(total_len);
-    } else {
-      p.msg.payload.resize(total_len);
-    }
-  } else if (p.total(arena_ != nullptr) != total_len) {
+    p.buf = arena_->allocate(total_len);
+  } else if (p.buf.size() != total_len) {
     // Chunks of one message must agree on its total length; a mismatch
     // means a garbled header, and trusting the larger value would let the
     // memcpy below run past the buffer sized by the first chunk.
     throw em::CorruptBlockError(
         "Reassembler: total_len mismatch across chunks of message (src " +
         std::to_string(src) + ", dst " + std::to_string(dst) + ", seq " +
-        std::to_string(seq) + "): " +
-        std::to_string(p.total(arena_ != nullptr)) + " vs " +
+        std::to_string(seq) + "): " + std::to_string(p.buf.size()) + " vs " +
         std::to_string(total_len));
   }
   return &p;
@@ -328,54 +291,28 @@ void Reassembler::absorb(std::span<const std::byte> block,
     }
     Partial* part = find_or_create(src, dst, seq, total);
     if (len > 0) {
-      std::byte* dst_bytes = arena_ != nullptr
-                                 ? part->buf.data()
-                                 : part->msg.payload.data();
-      std::memcpy(dst_bytes + offset, block.data() + pos, len);
+      std::memcpy(part->buf.data() + offset, block.data() + pos, len);
     }
     part->received += len;
     pos += len;
   }
 }
 
-std::vector<bsp::Message> Reassembler::take() {
-  std::vector<bsp::Message> out;
-  out.reserve(partial_.size());
-  for (auto& [key, p] : partial_) {
-    check_complete(p);
-    if (arena_ != nullptr) {
-      p.msg.payload.assign(p.buf.begin(), p.buf.end());
-    }
-    out.push_back(std::move(p.msg));
-  }
-  partial_.clear();
-  return out;
-}
-
 std::vector<bsp::MessageRef> Reassembler::take_refs() {
-  if (arena_ == nullptr) {
-    throw std::logic_error(
-        "Reassembler::take_refs requires arena mode (payloads would dangle)");
-  }
   std::vector<bsp::MessageRef> out;
   out.reserve(partial_.size());
-  for (auto& [key, p] : partial_) {
-    check_complete(p);
-    out.push_back(bsp::MessageRef{p.msg.src, p.msg.dst, p.msg.seq,
-                                  {p.buf.data(), p.buf.size()}});
+  for (const auto& [key, p] : partial_) {
+    if (p.received != p.buf.size()) {
+      throw std::runtime_error(
+          "Reassembler: incomplete message (src " + std::to_string(key.src) +
+          ", seq " + std::to_string(key.seq) + "): got " +
+          std::to_string(p.received) + " of " + std::to_string(p.buf.size()) +
+          " bytes");
+    }
+    out.push_back(bsp::MessageRef{key.src, key.dst, key.seq, p.buf});
   }
   partial_.clear();
   return out;
-}
-
-void Reassembler::check_complete(const Partial& p) const {
-  if (p.received != p.total(arena_ != nullptr)) {
-    throw std::runtime_error(
-        "Reassembler: incomplete message (src " + std::to_string(p.msg.src) +
-        ", seq " + std::to_string(p.msg.seq) + "): got " +
-        std::to_string(p.received) + " of " +
-        std::to_string(p.total(arena_ != nullptr)) + " bytes");
-  }
 }
 
 }  // namespace embsp::sim

@@ -172,7 +172,7 @@ SimResult SeqSimulator::run(
   }
   if (pipelined) {
     // Bounded write-behind: at most 4 message write cycles (<= 4*D blocks)
-    // ride behind the computing group before write_messages throttles.
+    // ride behind the computing group before write_message_refs throttles.
     messages.enable_write_behind(4);
   }
   // Double-buffered staging slots, indexed by group parity.  The staging
@@ -186,7 +186,7 @@ SimResult SeqSimulator::run(
   // front and offer them to the backends, so context transfers go out as
   // READ_FIXED/WRITE_FIXED SQEs.  Non-uring backends decline the hint
   // (free).  Message slots start empty and grow on demand in the fetch, as
-  // in ParSimulator and DistSimulator: their capacity bound k*gamma can far
+  // in DistSimulator: their capacity bound k*gamma can far
   // exceed what a group actually receives.  The guard unregisters before
   // the slots are destroyed — a stale registration could otherwise alias a
   // future run's allocations at the same addresses.
@@ -210,25 +210,18 @@ SimResult SeqSimulator::run(
 
   // Buffers reused across groups and supersteps (no per-group churn).
   // The group's contexts are views into the read staging slot: compute
-  // deserializes from the bytes the disks delivered.
+  // deserializes from the bytes the disks delivered.  Fetched payloads live
+  // in the inbox arena (reset per group — the previous group's compute has
+  // consumed its refs by then), and outgoing refs point into the per-vproc
+  // outbox arenas, which stay alive until the write phase has packed them.
   ContextStore::Views ctx_views;
-  std::vector<std::vector<bsp::Message>> inboxes;
-  std::vector<bsp::Message> outgoing;
   std::vector<State> states;
   states.reserve(layout.k);
-  inboxes.reserve(layout.k);
-
-  // Zero-copy path state: fetched payloads live in this arena (reset per
-  // group — the previous group's compute has consumed its refs by then),
-  // and outgoing refs point into the per-vproc outbox arenas, which stay
-  // alive until the write phase has packed them.
-  const bool zero_copy = cfg_.zero_copy;
   util::Arena inbox_arena;
   std::vector<bsp::MessageRef> incoming_refs;
   std::vector<std::vector<bsp::MessageRef>> inbox_refs;
   std::vector<bsp::MessageRef> outgoing_refs;
-  std::uint64_t outbox_copied = 0;  // take() traffic (legacy path only)
-  std::uint64_t arena_peak = 0;     // peak arena residency, all arenas
+  std::uint64_t arena_peak = 0;  // peak arena residency, all arenas
 
   // Per-virtual-processor compute results, filled by (possibly concurrent)
   // superstep() calls and reduced sequentially in vproc order so the cost
@@ -350,7 +343,6 @@ SimResult SeqSimulator::run(
     em::FaultCounts fc = base_faults;
     if (fault_counters_ != nullptr) fc += em::snapshot(*fault_counters_);
     w.write<em::FaultCounts>(fc);
-    w.write<std::uint64_t>(outbox_copied);
     w.write<std::uint64_t>(arena_peak);
     save_proc_state(w, *disks_, alloc, contexts, messages, rng);
     return w.take();
@@ -384,7 +376,6 @@ SimResult SeqSimulator::run(
     base_io_retries = r.read<std::uint64_t>();
     base_io_giveups = r.read<std::uint64_t>();
     base_faults = r.read<em::FaultCounts>();
-    outbox_copied = r.read<std::uint64_t>();
     arena_peak = r.read<std::uint64_t>();
     load_proc_state(r, *disks_, alloc, contexts, messages, rng);
     if (!r.exhausted()) {
@@ -446,10 +437,9 @@ SimResult SeqSimulator::run(
       const int cur = static_cast<int>(gidx & 1);
 
       // --- Fetching Phase: steps 1(a) and 1(b) ---
-      // Zero-copy: the previous group's compute has consumed its refs, so
-      // the inbox arena can recycle before this group's fetch fills it.
-      if (zero_copy) inbox_arena.reset();
-      std::vector<bsp::Message> incoming;
+      // The previous group's compute has consumed its refs, so the inbox
+      // arena can recycle before this group's fetch fills it.
+      inbox_arena.reset();
       if (pipelined) {
         {
           ObsPhase phase(rec, "prefetch_ctx", *disks_,
@@ -459,12 +449,8 @@ SimResult SeqSimulator::run(
         {
           ObsPhase phase(rec, "prefetch_msg", *disks_,
                          &result.phase_io.fetch_msg);
-          if (zero_copy) {
-            incoming_refs =
-                messages.fetch_group_wait_refs(msg_fetch[cur], inbox_arena);
-          } else {
-            incoming = messages.fetch_group_wait(msg_fetch[cur]);
-          }
+          incoming_refs =
+              messages.fetch_group_wait_refs(msg_fetch[cur], inbox_arena);
         }
         // Read-ahead: group g+1's transfers overlap group g's compute.
         if (gidx + 1 < num_groups) submit_prefetch(gidx + 1);
@@ -475,33 +461,17 @@ SimResult SeqSimulator::run(
           ctx_views = contexts.read(first, count);
         }
         ObsPhase phase(rec, "fetch_msg", *disks_, &result.phase_io.fetch_msg);
-        if (zero_copy) {
-          incoming_refs = messages.fetch_group_refs(gidx, inbox_arena);
-        } else {
-          incoming = messages.fetch_group(gidx);
-        }
+        incoming_refs = messages.fetch_group_refs(gidx, inbox_arena);
       }
 
-      if (zero_copy) {
-        if (inbox_refs.size() < count) inbox_refs.resize(count);
-        for (std::uint32_t i = 0; i < count; ++i) inbox_refs[i].clear();
-        for (const auto& m : incoming_refs) {
-          if (m.dst < first || m.dst >= first + count) {
-            throw std::runtime_error(
-                "SeqSimulator: message routed to the wrong group");
-          }
-          inbox_refs[m.dst - first].push_back(m);
+      if (inbox_refs.size() < count) inbox_refs.resize(count);
+      for (std::uint32_t i = 0; i < count; ++i) inbox_refs[i].clear();
+      for (const auto& m : incoming_refs) {
+        if (m.dst < first || m.dst >= first + count) {
+          throw std::runtime_error(
+              "SeqSimulator: message routed to the wrong group");
         }
-      } else {
-        if (inboxes.size() < count) inboxes.resize(count);
-        for (std::uint32_t i = 0; i < count; ++i) inboxes[i].clear();
-        for (auto& m : incoming) {
-          if (m.dst < first || m.dst >= first + count) {
-            throw std::runtime_error(
-                "SeqSimulator: message routed to the wrong group");
-          }
-          inboxes[m.dst - first].push_back(std::move(m));
-        }
+        inbox_refs[m.dst - first].push_back(m);
       }
 
       // --- Computation Phase: step 1(c) ---
@@ -512,7 +482,6 @@ SimResult SeqSimulator::run(
       for (std::uint32_t i = 0; i < count; ++i) {
         outboxes.emplace_back(first + i, v);
       }
-      outgoing.clear();
       outgoing_refs.clear();
       {
         // Wall-clock-only span: compute does no I/O, so there is no PhaseIo
@@ -523,8 +492,7 @@ SimResult SeqSimulator::run(
         auto task = [&](std::size_t i) {
           util::Reader r(ctx_views[i]);
           states[i].deserialize(r);
-          bsp::Inbox in = zero_copy ? bsp::Inbox(std::move(inbox_refs[i]))
-                                    : bsp::Inbox(std::move(inboxes[i]));
+          bsp::Inbox in(std::move(inbox_refs[i]));
           bsp::WorkMeter m;
           bsp::ProcEnv env{first + static_cast<std::uint32_t>(i), v, &m};
           VpStats& s = vp[i];
@@ -569,18 +537,13 @@ SimResult SeqSimulator::run(
             std::max(cost.max_packets_received, s.recv_packets);
         cost.total_bytes += s.bytes_sent;
         cost.num_messages += s.num_messages;
-        if (zero_copy) {
-          // Refs stay valid through the write phase below: the outboxes
-          // (and their arenas) outlive this group's write_message_refs.
-          for (const auto& m : outboxes[i].messages()) {
-            outgoing_refs.push_back(m);
-          }
-          arena_peak = std::max<std::uint64_t>(
-              arena_peak, outboxes[i].arena_high_water());
-        } else {
-          for (auto& m : outboxes[i].take()) outgoing.push_back(std::move(m));
-          outbox_copied += outboxes[i].bytes_copied();
+        // Refs stay valid through the write phase below: the outboxes (and
+        // their arenas) outlive this group's write_message_refs.
+        for (const auto& m : outboxes[i].messages()) {
+          outgoing_refs.push_back(m);
         }
+        arena_peak = std::max<std::uint64_t>(
+            arena_peak, outboxes[i].arena_high_water());
       }
       arena_peak = std::max<std::uint64_t>(arena_peak,
                                            inbox_arena.high_water());
@@ -589,11 +552,7 @@ SimResult SeqSimulator::run(
       {
         ObsPhase phase(rec, pipelined ? "writeback_msg" : "write_msg",
                        *disks_, &result.phase_io.write_msg);
-        if (zero_copy) {
-          messages.write_message_refs(outgoing_refs, group_of, rng);
-        } else {
-          messages.write_messages(outgoing, group_of, rng);
-        }
+        messages.write_message_refs(outgoing_refs, group_of, rng);
       }
 
       {
@@ -749,9 +708,6 @@ SimResult SeqSimulator::run(
     reg.set_gauge("sim.max_tracks_per_disk",
                   static_cast<double>(result.max_tracks_per_disk));
     reg.set_gauge("sim.overlap_ratio", result.overlap_ratio);
-    // Copy discipline: staging bytes that crossed a memcpy (block staging
-    // plus legacy outbox materialization) and peak arena residency.
-    reg.add("sim.bytes_copied", messages.bytes_copied() + outbox_copied);
     reg.set_gauge("sim.arena_bytes", static_cast<double>(arena_peak));
     reg.set_gauge("sim.in_memory_routing",
                   messages.in_memory_routing() ? 1.0 : 0.0);

@@ -75,14 +75,6 @@ struct SimConfig {
   /// wall clock does.  The chosen plan is exported as sim.layout.* gauges.
   bool auto_tune = false;
 
-  /// Zero-copy message path: pack outbox messages (arena-backed spans)
-  /// straight into staged block buffers and deliver fetched messages as
-  /// MessageRef views over an arena, skipping the per-message and per-block
-  /// bounce copies of the legacy path.  Disk image, costs and fault
-  /// schedule are byte-identical either way for a fixed seed; off restores
-  /// the copying path (kept for parity tests and as a fallback).
-  bool zero_copy = true;
-
   /// Merge runs of adjacent tracks inside one batched submission into a
   /// single vectored backend transfer per disk (preadv/pwritev).  Purely
   /// physical — model costs and the disk image are unchanged.  Forced off
@@ -155,10 +147,11 @@ struct SimConfig {
   /// bit-rot; adds no I/O and leaves the disk image unchanged).
   bool block_checksums = false;
 
-  /// Superstep-granular recovery (sequential simulator): journal context
-  /// writes (2x context disk space) and, when a transfer exhausts its retry
-  /// budget, roll back to the enclosing superstep boundary and re-execute.
-  /// Off by default so default-config layouts match PR 1 exactly.
+  /// Superstep-granular recovery: journal context writes (2x context disk
+  /// space) and, when a transfer exhausts its retry budget, roll back to the
+  /// enclosing superstep boundary and re-execute — on every rank at once
+  /// when p > 1 (see sim/dist_simulator.hpp).  Off by default so
+  /// default-config layouts stay unjournaled.
   bool superstep_recovery = false;
 
   /// Re-execution budget per recovery unit (superstep body / reorganize);

@@ -14,8 +14,8 @@
 //  * reset() retains capacity: chunks are kept and their cursors rewound,
 //    so a steady-state superstep allocates no memory at all.
 //  * Single-threaded: one arena belongs to one owner (an Outbox, a
-//    simulator group loop, a ParSimulator proc).  Concurrent *reads* of
-//    handed-out spans are fine; concurrent allocate() is not.
+//    simulator group loop, one rank of the p > 1 rank loop).  Concurrent
+//    *reads* of handed-out spans are fine; concurrent allocate() is not.
 //
 // high_water() feeds the "sim.arena_bytes" gauge: the peak number of
 // payload bytes alive at once, i.e. the real memory cost of the zero-copy

@@ -9,9 +9,11 @@
 //     with no destructors, simulated by fork + scripted crash faults) and
 //     resumed produces byte-identical results, model costs, and fault
 //     tallies to an uninterrupted run;
-//   * the parallel simulator's coordinated rollback re-executes a failed
-//     superstep across ALL processors and still completes with the
-//     fault-free answer.
+//   * the p > 1 rank loop's coordinated rollback re-executes a failed
+//     superstep across ALL ranks and still completes with the fault-free
+//     answer — under ParSimulator and over the loopback and socket
+//     transports alike, against golden digests recorded from the threaded
+//     mailbox simulator the rank loop replaced.
 //
 // Carries the `recovery` ctest label; the sanitizer presets re-run it.
 #include <gtest/gtest.h>
@@ -27,15 +29,19 @@
 
 #include "em/fault_backend.hpp"
 #include "sim/checkpoint.hpp"
+#include "sim/dist_simulator.hpp"
 #include "sim/par_simulator.hpp"
 #include "sim/seq_simulator.hpp"
+#include "sim_digest.hpp"
 #include "test_programs.hpp"
+#include "transport_helpers.hpp"
 #include "util/checksum.hpp"
 
 namespace embsp::sim {
 namespace {
 
 namespace fs = std::filesystem;
+using embsp::testing::BigMessageProgram;
 using embsp::testing::IrregularProgram;
 
 // IrregularProgram plus a cancellation trigger: during superstep
@@ -92,6 +98,72 @@ std::vector<std::uint64_t> run_sim(const SimConfig& cfg, SimResult& result,
       });
   return sums;
 }
+
+/// The p > 1 engines under test: ParSimulator (loopback ranks on threads)
+/// and DistSimulator ranks driven directly over each transport.
+enum class Engine { par, loopback, socket };
+
+std::string engine_name(Engine e) {
+  switch (e) {
+    case Engine::par:
+      return "par";
+    case Engine::loopback:
+      return "loopback";
+    default:
+      return "socket";
+  }
+}
+
+/// run_sim for any p > 1 engine; rank 0 collects and its result is returned.
+std::vector<std::uint64_t> run_engine(Engine engine, const SimConfig& cfg,
+                                      SimResult& result,
+                                      std::atomic<bool>* flag = nullptr,
+                                      std::size_t cancel_at = 0) {
+  if (engine == Engine::par) {
+    return run_sim<ParSimulator>(cfg, result, flag, cancel_at);
+  }
+  const std::uint32_t p = cfg.machine.p;
+  auto eps = engine == Engine::loopback
+                 ? net::make_loopback_group(p)
+                 : make_socket_group(
+                       p, ::testing::UnitTest::GetInstance()
+                              ->current_test_info()
+                              ->name());
+  std::vector<std::uint64_t> sums(cfg.machine.bsp.v);
+  run_ranks(eps, [&](std::uint32_t me, net::Transport& tp) {
+    DistSimulator sim(cfg, tp);
+    std::function<void(std::uint32_t, CancelingProgram::State&)> collect;
+    if (me == 0) {
+      collect = [&](std::uint32_t vp, CancelingProgram::State& s) {
+        sums[vp] = s.checksum;
+      };
+    }
+    auto r = sim.run<CancelingProgram>(
+        CancelingProgram{{}, flag, cancel_at},
+        [](std::uint32_t) { return CancelingProgram::State{}; }, collect);
+    if (me == 0) result = std::move(r);
+  });
+  return sums;
+}
+
+/// run_digest over the per-vproc checksums these tests collect.
+std::uint64_t digest_of(const SimResult& r,
+                        const std::vector<std::uint64_t>& sums) {
+  std::vector<std::vector<std::byte>> states;
+  for (const auto sum : sums) {
+    util::Writer w;
+    w.write<std::uint64_t>(sum);
+    states.push_back(w.take());
+  }
+  return embsp::testing::run_digest(r, states);
+}
+
+// Golden digests of the p = 2, v = 16 runs below, recorded from the
+// threaded mailbox simulator: plain layout, journaled (recovery) layout,
+// and the hostile run that rolls back once mid-run.
+constexpr std::uint64_t kGoldenPlain = 0x90cdcb9f4b989c12ULL;
+constexpr std::uint64_t kGoldenJournaled = 0xee4ea5653cdc5350ULL;
+constexpr std::uint64_t kGoldenRollback = 0x5cd3e8ed6a44a3c1ULL;
 
 void expect_same_costs(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.lambda(), b.lambda());
@@ -445,32 +517,80 @@ TEST(CrashRestart, KillNineMidRunThenResumeMatches) {
   EXPECT_GT(res.recovery.resume_epoch, 0u);
 }
 
+TEST(CrashRestart, KillNineMidTransportRunThenResumeMatches) {
+  // The same oracle for the rank loop: two loopback ranks checkpoint
+  // through rank 0 until a crash point on rank 0's disk 0 kills the whole
+  // process; the parent resumes both ranks from the orphaned directory.
+  auto cfg = base_config(2, 16, em::IoEngine::serial);
+  SimResult base_res;
+  const auto expected = run_engine(Engine::loopback, cfg, base_res);
+  const std::uint64_t disk0_calls =
+      (base_res.per_proc_io[0].blocks_read +
+       base_res.per_proc_io[0].blocks_written) /
+      4;
+  ASSERT_GT(disk0_calls, 8u);
+
+  const auto dir = fresh_dir("crash_kill9_transport");
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    auto doomed = cfg;
+    doomed.checkpoint.dir = dir;
+    doomed.faults.scripted.push_back(
+        {em::FaultKind::crash, 0u, disk0_calls / 2});
+    SimResult r;
+    try {
+      run_engine(Engine::loopback, doomed, r);
+    } catch (...) {
+    }
+    std::_Exit(0);  // reached only if the crash point never fired
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 137) << "child should die at the crash point";
+
+  auto resumed = cfg;
+  resumed.checkpoint.dir = dir;
+  resumed.checkpoint.resume = true;
+  SimResult res;
+  const auto got = run_engine(Engine::loopback, resumed, res);
+  EXPECT_EQ(got, expected);
+  expect_same_costs(base_res, res);
+  EXPECT_GT(res.recovery.resume_epoch, 0u);
+  EXPECT_EQ(digest_of(res, got), kGoldenPlain);
+}
+
 // --- Parallel simulator: resume + coordinated rollback ----------------------
 
 void par_cancel_resume_case(em::IoEngine engine, bool recovery,
-                            const std::string& tag) {
+                            const std::string& tag,
+                            Engine sim_engine = Engine::par) {
   auto cfg = base_config(2, 16, engine);
   cfg.superstep_recovery = recovery;
   cfg.checkpoint.dir = fresh_dir(tag + "_base");
   SimResult base_res;
-  const auto expected = run_sim<ParSimulator>(cfg, base_res);
+  const auto expected = run_engine(sim_engine, cfg, base_res);
+  const std::uint64_t golden = recovery ? kGoldenJournaled : kGoldenPlain;
+  EXPECT_EQ(digest_of(base_res, expected), golden) << tag;
 
   auto killed = cfg;
   killed.checkpoint.dir = fresh_dir(tag);
   std::atomic<bool> cancel{false};
   killed.cancel = &cancel;
   SimResult dead_res;
-  EXPECT_THROW(run_sim<ParSimulator>(killed, dead_res, &cancel, 1),
+  EXPECT_THROW(run_engine(sim_engine, killed, dead_res, &cancel, 1),
                CanceledError);
 
   auto resumed = cfg;
   resumed.checkpoint.dir = killed.checkpoint.dir;
   resumed.checkpoint.resume = true;
   SimResult res;
-  const auto got = run_sim<ParSimulator>(resumed, res);
+  const auto got = run_engine(sim_engine, resumed, res);
   EXPECT_EQ(got, expected) << tag;
   expect_same_costs(base_res, res);
   EXPECT_GT(res.recovery.resume_epoch, 0u);
+  EXPECT_EQ(digest_of(res, got), golden) << tag;
 }
 
 TEST(ParResume, CancelThenResumeParallelEngine) {
@@ -485,14 +605,30 @@ TEST(ParResume, CancelThenResumeUring) {
   par_cancel_resume_case(em::IoEngine::uring, false, "par_uring");
 }
 
-void par_rollback_case(em::IoEngine engine, const std::string& tag) {
+TEST(TransportResume, CancelThenResumeOverLoopback) {
+  par_cancel_resume_case(em::IoEngine::parallel, false, "tp_loop",
+                         Engine::loopback);
+  par_cancel_resume_case(em::IoEngine::parallel, true, "tp_loop_journal",
+                         Engine::loopback);
+}
+
+TEST(TransportResume, CancelThenResumeOverSocket) {
+  par_cancel_resume_case(em::IoEngine::parallel, false, "tp_sock",
+                         Engine::socket);
+  par_cancel_resume_case(em::IoEngine::parallel, true, "tp_sock_journal",
+                         Engine::socket);
+}
+
+void par_rollback_case(em::IoEngine engine, const std::string& tag,
+                       Engine sim_engine = Engine::par) {
   // Clean reference: coordinated recovery on (journaled banks change the
   // disk layout, so the reference must run the same layout).
   auto clean = base_config(2, 16, engine);
   clean.superstep_recovery = true;
   clean.block_checksums = true;
   SimResult clean_res;
-  const auto expected = run_sim<ParSimulator>(clean, clean_res);
+  const auto expected = run_engine(sim_engine, clean, clean_res);
+  EXPECT_EQ(digest_of(clean_res, expected), kGoldenJournaled) << tag;
 
   // Hostile run: a burst longer than the retry budget on proc 0's disk 0,
   // placed mid-run.  The giveup must trigger a rollback of ALL processors
@@ -508,10 +644,12 @@ void par_rollback_case(em::IoEngine engine, const std::string& tag) {
       {0u, proc0_calls / 2,
        static_cast<std::uint64_t>(hostile.retry.max_attempts)});
   SimResult res;
-  const auto got = run_sim<ParSimulator>(hostile, res);
+  const auto got = run_engine(sim_engine, hostile, res);
   EXPECT_EQ(got, expected) << tag;
   EXPECT_EQ(res.recovery.io_giveups, 1u) << tag;
   EXPECT_GE(res.recovery.total_rollbacks(), 1u) << tag;
+  // The failed attempt's I/O, retries and fault history included.
+  EXPECT_EQ(digest_of(res, got), kGoldenRollback) << tag;
 }
 
 TEST(ParRecovery, CoordinatedRollbackCompletesParallelEngine) {
@@ -520,6 +658,67 @@ TEST(ParRecovery, CoordinatedRollbackCompletesParallelEngine) {
 
 TEST(ParRecovery, CoordinatedRollbackCompletesUring) {
   par_rollback_case(em::IoEngine::uring, "rollback_uring");
+}
+
+TEST(TransportRecovery, CoordinatedRollbackCompletesOverLoopback) {
+  par_rollback_case(em::IoEngine::parallel, "rollback_loop", Engine::loopback);
+}
+
+TEST(TransportRecovery, CoordinatedRollbackCompletesOverSocket) {
+  par_rollback_case(em::IoEngine::parallel, "rollback_sock", Engine::socket);
+}
+
+TEST(TransportRecovery, GiveupAtEveryCallOfAMultiBlockRunRecovers) {
+  // One message spanning many blocks, and a giveup swept across every
+  // backend call of rank 0's disk 0.  Some of those land mid-fetch, so the
+  // peer reassembles a message whose blocks never all arrive — a
+  // secondary failure it must tolerate because the failed flag came with
+  // the same exchange.  Every placement must roll back and recover.
+  BigMessageProgram prog;
+  prog.words = 1500;
+  auto cfg = base_config(2, 4, em::IoEngine::serial);
+  cfg.machine.em.D = 2;
+  cfg.gamma = 14000;
+  cfg.superstep_recovery = true;
+  cfg.block_checksums = true;
+  std::uint64_t disk0_calls = 0;  // rank 0's disk 0, backend calls
+  auto run = [&](const SimConfig& c, SimResult& result) {
+    auto eps = net::make_loopback_group(2);
+    std::vector<std::uint64_t> sums(c.machine.bsp.v);
+    run_ranks(eps, [&](std::uint32_t me, net::Transport& tp) {
+      DistSimulator sim(c, tp);
+      std::function<void(std::uint32_t, BigMessageProgram::State&)> collect;
+      if (me == 0) {
+        collect = [&](std::uint32_t vp, BigMessageProgram::State& st) {
+          sums[vp] = st.sum;
+        };
+      }
+      auto r = sim.run<BigMessageProgram>(
+          prog, [](std::uint32_t) { return BigMessageProgram::State{}; },
+          collect);
+      if (me == 0) {
+        result = std::move(r);
+        const auto& disk0 = sim.disks().disk(0);
+        disk0_calls = disk0.reads() + disk0.writes();
+      }
+    });
+    return sums;
+  };
+  SimResult clean_res;
+  const auto expected = run(cfg, clean_res);
+  ASSERT_GT(expected.back(), 0u);
+  const std::uint64_t clean_calls = disk0_calls;
+  ASSERT_GT(clean_calls, 8u);
+  for (std::uint64_t at = 0; at < clean_calls; ++at) {
+    auto hostile = cfg;
+    hostile.faults.seed = 5;
+    hostile.faults.bursts.push_back(
+        {0u, at, static_cast<std::uint64_t>(hostile.retry.max_attempts)});
+    SimResult res;
+    EXPECT_EQ(run(hostile, res), expected) << "giveup at call " << at;
+    EXPECT_EQ(res.recovery.io_giveups, 1u) << "giveup at call " << at;
+    EXPECT_GE(res.recovery.total_rollbacks(), 1u) << "giveup at call " << at;
+  }
 }
 
 TEST(ParRecovery, RetryBudgetExhaustionStillSurfacesError) {
@@ -535,9 +734,9 @@ TEST(ParRecovery, RetryBudgetExhaustionStillSurfacesError) {
   EXPECT_THROW(run_sim<ParSimulator>(cfg, res), em::IoError);
 }
 
-TEST(ParRecovery, AbortStillFlushesRegistry) {
-  // Satellite: a run that dies mid-flight must still leave its counters in
-  // the attached registry (that is when a post-mortem needs them).
+void abort_flush_case(Engine engine) {
+  // A run that dies mid-flight must still leave its counters in the
+  // attached registry (that is when a post-mortem needs them).
   auto cfg = base_config(2, 16, em::IoEngine::parallel);
   cfg.superstep_recovery = false;  // no rollback: the giveup is fatal
   cfg.faults.seed = 5;
@@ -545,11 +744,25 @@ TEST(ParRecovery, AbortStillFlushesRegistry) {
   obs::Recorder recorder;
   cfg.recorder = &recorder;
   SimResult res;
-  EXPECT_THROW(run_sim<ParSimulator>(cfg, res), em::IoError);
+  EXPECT_THROW(run_engine(engine, cfg, res), em::IoError);
   std::ostringstream json;
   recorder.registry.write_json(json);
   EXPECT_NE(json.str().find("recovery.io_giveups"), std::string::npos);
   EXPECT_NE(json.str().find("faults.injected"), std::string::npos);
+  EXPECT_GE(recorder.registry.counter("recovery.io_giveups"), 1u)
+      << engine_name(engine);
+}
+
+TEST(ParRecovery, AbortStillFlushesRegistry) {
+  abort_flush_case(Engine::par);
+}
+
+TEST(TransportRecovery, AbortStillFlushesRegistryOverLoopback) {
+  abort_flush_case(Engine::loopback);
+}
+
+TEST(TransportRecovery, AbortStillFlushesRegistryOverSocket) {
+  abort_flush_case(Engine::socket);
 }
 
 TEST(ParCheckpoint, CheckpointingItselfChangesNothing) {

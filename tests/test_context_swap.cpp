@@ -1,15 +1,13 @@
 // Context write elision is invisible to everything the model and the
 // program can observe.  List ranking and connected components run on the
-// sequential, threaded and loopback-distributed simulators with and
-// without superstep recovery.  Recovery journals the context store, and a
-// journaled store never elides; without it, unchanged context blocks are
-// not written back.  Results, SuperstepCosts, total I/O and the phase
-// breakdown must be identical either way; only engine.elided_tracks tells
-// the runs apart.
-//
-// The distributed simulator rejects superstep recovery, so its eliding run
-// is held against the journaled threaded run (the two simulators are
-// byte-identical by construction, see test_net.cpp).
+// sequential simulator, ParSimulator and DistSimulator ranks driven over
+// loopback, with and without superstep recovery.  Recovery journals the
+// context store, and a journaled store never elides; without it, unchanged
+// context blocks are not written back.  Results, SuperstepCosts, total I/O
+// and the phase breakdown must be identical either way; only
+// engine.elided_tracks tells the runs apart.  Both p > 1 drivers run the
+// same rank loop, so the directly driven ranks are held against the
+// journaled ParSimulator run.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -176,8 +174,12 @@ TEST_P(ContextSwapParity, ElisionLeavesModelAndResultsUnchanged) {
   EXPECT_EQ(par_journaled.elided, 0u);
   EXPECT_GT(par.elided, 0u);
 
+  const SwapRun dist_journaled =
+      run_swap(w, Simulator::dist, true, pipeline);
   const SwapRun dist = run_swap(w, Simulator::dist, false, pipeline);
+  expect_same_run(par_journaled, dist_journaled, "loopback dist journaled");
   expect_same_run(par_journaled, dist, "loopback dist");
+  EXPECT_EQ(dist_journaled.elided, 0u);
   EXPECT_GT(dist.elided, 0u);
 
   EXPECT_EQ(seq.out, par.out);

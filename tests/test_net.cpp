@@ -1,10 +1,12 @@
 // Transport-tier tests: unit tests for the loopback and socket backends,
 // the wire framing, the streaming checksum — and the cross-backend parity
-// suite, which pins the tentpole guarantee of the distributed simulator:
-// same seed, same workload → byte-identical final states, SuperstepCosts,
-// IoStats and fault histories on
-//   threaded ParSimulator  vs  loopback DistSimulator  vs  socket
-//   DistSimulator (full wire protocol over unix-domain sockets).
+// suite, which pins the determinism contract of the rank loop: same seed,
+// same workload → byte-identical final states, SuperstepCosts, IoStats and
+// fault histories on
+//   ParSimulator (threaded ranks)  vs  loopback DistSimulator  vs  socket
+//   DistSimulator (full wire protocol over unix-domain sockets),
+// each held against a golden digest recorded from the threaded
+// mailbox simulator the rank loop replaced.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -19,7 +21,9 @@
 #include "obs/span.hpp"
 #include "sim/dist_simulator.hpp"
 #include "sim/par_simulator.hpp"
+#include "sim_digest.hpp"
 #include "test_programs.hpp"
+#include "transport_helpers.hpp"
 #include "util/checksum.hpp"
 #include "util/rng.hpp"
 #include "util/serialization.hpp"
@@ -104,60 +108,6 @@ TEST(Frame, NetErrorsClassifyOnTheIoTaxonomy) {
 }
 
 // --- Transport behavior (parameterized over backends) -----------------------
-
-/// Runs `body(rank, transport)` on one thread per endpoint and rethrows the
-/// first failure.
-void run_ranks(std::vector<std::unique_ptr<net::Transport>>& eps,
-               const std::function<void(std::uint32_t, net::Transport&)>& body) {
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(eps.size());
-  for (std::uint32_t r = 0; r < eps.size(); ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        body(r, *eps[r]);
-      } catch (...) {
-        errors[r] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-}
-
-std::string unix_prefix(const std::string& tag) {
-  return (std::filesystem::temp_directory_path() /
-          ("embsp_net_" + tag + "_" + std::to_string(::getpid())))
-      .string();
-}
-
-/// Builds a p-endpoint socket mesh by running the handshakes concurrently
-/// (each constructor blocks until the full mesh is up).
-std::vector<std::unique_ptr<net::Transport>> make_socket_group(
-    std::uint32_t p, const std::string& tag) {
-  std::vector<std::unique_ptr<net::Transport>> eps(p);
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(p);
-  for (std::uint32_t r = 0; r < p; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        net::SocketConfig cfg;
-        cfg.address = unix_prefix(tag);
-        cfg.rank = r;
-        cfg.peers = p;
-        eps[r] = net::make_socket_transport(cfg);
-      } catch (...) {
-        errors[r] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-  return eps;
-}
 
 void exercise_ordering(std::vector<std::unique_ptr<net::Transport>>& eps) {
   const auto p = static_cast<std::uint32_t>(eps.size());
@@ -292,7 +242,7 @@ TEST(SocketTransport, MissingPeerEndTimesOut) {
 }
 
 TEST(SocketTransport, SlowSuperstepBetweenPostAndExchangeDoesNotTimeOut) {
-  // Regression for the deadline clock: it must start at exchange()/complete(),
+  // Regression for the deadline clock: it must start at exchange(),
   // never at post().  Each rank posts, then "computes" for several multiples
   // of io_timeout_ms while pumping progress() (which is deadline-free and
   // must never throw PeerTimeoutError), and only then exchanges.
@@ -317,7 +267,7 @@ TEST(SocketTransport, SlowSuperstepBetweenPostAndExchangeDoesNotTimeOut) {
       tp.progress();
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
-    auto got = tp.complete();
+    auto got = tp.exchange();
     ASSERT_EQ(got[1 - me].size(), 1u);
     EXPECT_EQ(got[1 - me][0], payload);
   });
@@ -428,14 +378,15 @@ void expect_same_result(const SimResult& par, const SimResult& dist) {
   EXPECT_EQ(par.recovery.io_giveups, dist.recovery.io_giveups);
 }
 
-/// The tentpole assertion: ParSimulator (threads + mailboxes), DistSimulator
-/// over loopback, and DistSimulator over real sockets produce byte-identical
-/// everything.
+/// The parity assertion: ParSimulator, DistSimulator over loopback, and
+/// DistSimulator over real sockets produce byte-identical everything, and
+/// that everything digests to `golden` (recorded from the threaded mailbox
+/// simulator that predates the rank loop, an independent reference).
 template <bsp::Program P>
-void expect_three_way_parity(
+void expect_golden_parity(
     const P& prog, SimConfig cfg,
     const std::function<typename P::State(std::uint32_t)>& make_state,
-    const std::string& tag) {
+    const std::string& tag, std::uint64_t golden) {
   using State = typename P::State;
   const std::uint32_t v = cfg.machine.bsp.v;
   const std::uint32_t p = cfg.machine.p;
@@ -448,83 +399,82 @@ void expect_three_way_parity(
         s.serialize(w);
         par_states[pid] = w.take();
       });
+  EXPECT_EQ(embsp::testing::run_digest(par_result, par_states), golden)
+      << tag << ": ParSimulator left the golden digest";
 
   auto loop = run_dist(prog, cfg, net::make_loopback_group(p), make_state);
   EXPECT_EQ(loop.states, par_states) << "loopback states diverged";
   for (std::uint32_t r = 0; r < p; ++r) {
     expect_same_result(par_result, loop.results[r]);
+    EXPECT_EQ(embsp::testing::run_digest(loop.results[r], loop.states), golden)
+        << tag << ": loopback rank " << r;
   }
 
   auto sock = run_dist(prog, cfg, make_socket_group(p, tag), make_state);
   EXPECT_EQ(sock.states, par_states) << "socket states diverged";
   for (std::uint32_t r = 0; r < p; ++r) {
     expect_same_result(par_result, sock.results[r]);
+    EXPECT_EQ(embsp::testing::run_digest(sock.results[r], sock.states), golden)
+        << tag << ": socket rank " << r;
   }
 }
 
 TEST(DistParity, PrefixSumFourRanks) {
   PrefixSumProgram prog;
-  expect_three_way_parity(prog, dist_config(4, 32, 2, 128, 64, 1400),
+  expect_golden_parity(prog, dist_config(4, 32, 2, 128, 64, 1400),
                           [](std::uint32_t pid) {
                             PrefixSumProgram::State s;
                             s.value = pid * 5 + 2;
                             return s;
                           },
-                          "prefix");
+                          "prefix", 0xfd0f32ae6e9ed37bULL);
 }
 
 TEST(DistParity, RingAcrossRanks) {
   RingProgram prog;
   prog.rounds = 6;
-  expect_three_way_parity(prog, dist_config(4, 8, 2, 128, 2048, 4096),
+  expect_golden_parity(prog, dist_config(4, 8, 2, 128, 2048, 4096),
                           [](std::uint32_t pid) {
                             RingProgram::State s;
                             s.data = {pid};
                             return s;
                           },
-                          "ring");
+                          "ring", 0x0fa104661a0e0f0dULL);
 }
 
 TEST(DistParity, IrregularTraffic) {
   IrregularProgram prog;
-  expect_three_way_parity(
+  expect_golden_parity(
       prog, dist_config(3, 12, 2, 128, 64, 4096),
-      [](std::uint32_t) { return IrregularProgram::State{}; }, "irregular");
+      [](std::uint32_t) { return IrregularProgram::State{}; }, "irregular",
+      0xca60504631b06892ULL);
 }
 
 TEST(DistParity, BigMessagesTwoRanks) {
   BigMessageProgram prog;
   prog.words = 1500;
-  expect_three_way_parity(
+  expect_golden_parity(
       prog, dist_config(2, 4, 2, 128, 64, 14000),
-      [](std::uint32_t) { return BigMessageProgram::State{}; }, "bigmsg");
-}
-
-TEST(DistParity, LegacyCopyingPath) {
-  IrregularProgram prog;
-  auto cfg = dist_config(3, 12, 2, 128, 64, 4096);
-  cfg.zero_copy = false;
-  expect_three_way_parity(
-      prog, cfg, [](std::uint32_t) { return IrregularProgram::State{}; },
-      "copying");
+      [](std::uint32_t) { return BigMessageProgram::State{}; }, "bigmsg",
+      0x4d67a9f81cb5e138ULL);
 }
 
 TEST(DistParity, DeterministicRouting) {
   IrregularProgram prog;
   auto cfg = dist_config(4, 16, 2, 128, 64, 4096);
   cfg.routing = RoutingMode::deterministic;
-  expect_three_way_parity(
+  expect_golden_parity(
       prog, cfg, [](std::uint32_t) { return IrregularProgram::State{}; },
-      "rr");
+      "rr", 0xde7c7ee9f769a97dULL);
 }
 
 TEST(DistParity, AutomaticRouting) {
   IrregularProgram prog;
   auto cfg = dist_config(2, 8, 2, 128, 64, 4096);
   cfg.routing = RoutingMode::automatic;
-  expect_three_way_parity(
+  expect_golden_parity(
       prog, cfg, [](std::uint32_t) { return IrregularProgram::State{}; },
-      "auto");
+      "auto", 0x52543a0a5c2b8689ULL);
 }
 
 TEST(DistParity, FaultScheduleMatchesUnderInjection) {
@@ -538,9 +488,9 @@ TEST(DistParity, FaultScheduleMatchesUnderInjection) {
   cfg.faults.read_error_rate = 0.05;
   cfg.faults.write_error_rate = 0.05;
   cfg.block_checksums = true;
-  expect_three_way_parity(
+  expect_golden_parity(
       prog, cfg, [](std::uint32_t) { return IrregularProgram::State{}; },
-      "faults");
+      "faults", 0x652c845b8ec00656ULL);
 }
 
 TEST(DistParity, PipelinedPrefixSum) {
@@ -549,21 +499,22 @@ TEST(DistParity, PipelinedPrefixSum) {
   // must hold with pipelining on.  ParSimulator runs its own pipelined
   // worker schedule under the same config, so the layouts match too.
   PrefixSumProgram prog;
-  expect_three_way_parity(prog,
+  expect_golden_parity(prog,
                           pipelined(dist_config(4, 32, 2, 128, 64, 1400)),
                           [](std::uint32_t pid) {
                             PrefixSumProgram::State s;
                             s.value = pid * 5 + 2;
                             return s;
                           },
-                          "pipeprefix");
+                          "pipeprefix", 0xfd0f32ae6e9ed37bULL);
 }
 
 TEST(DistParity, PipelinedIrregularTraffic) {
   IrregularProgram prog;
-  expect_three_way_parity(
+  expect_golden_parity(
       prog, pipelined(dist_config(3, 12, 2, 128, 64, 4096)),
-      [](std::uint32_t) { return IrregularProgram::State{}; }, "pipeirr");
+      [](std::uint32_t) { return IrregularProgram::State{}; }, "pipeirr",
+      0xca60504631b06892ULL);
 }
 
 TEST(DistParity, PipelinedMatchesBlockingSchedule) {
@@ -584,36 +535,30 @@ TEST(DistParity, PipelinedMatchesBlockingSchedule) {
 }
 
 TEST(DistParity, PipelinedFaultScheduleMatchesUnderInjection) {
-  // The overlapped schedule mirrors the ParSimulator's pipelined worker
-  // submission order exactly, so the per-drive fault schedule — keyed by
-  // submission index — stays aligned across all three backends.
+  // The overlapped schedule keeps the blocking schedule's submission order
+  // exactly, so the per-drive fault schedule — keyed by submission index —
+  // stays aligned across all three backends and matches the golden digest.
   IrregularProgram prog;
   auto cfg = pipelined(dist_config(2, 8, 2, 128, 64, 4096));
   cfg.faults.seed = cfg.seed;
   cfg.faults.read_error_rate = 0.05;
   cfg.faults.write_error_rate = 0.05;
   cfg.block_checksums = true;
-  expect_three_way_parity(
+  expect_golden_parity(
       prog, cfg, [](std::uint32_t) { return IrregularProgram::State{}; },
-      "pipefaults");
+      "pipefaults", 0x80863e283905b6b5ULL);
 }
 
 TEST(DistSimulatorConfig, RejectsSharedMemoryOnlyFeatures) {
   auto eps = net::make_loopback_group(2);
   auto cfg = dist_config(2, 8, 2, 128, 64, 1024);
   {
-    auto bad = cfg;
-    bad.checkpoint.dir = "/tmp/nope";
-    EXPECT_THROW(DistSimulator(bad, *eps[0]), std::invalid_argument);
-  }
-  {
-    auto bad = cfg;
-    bad.superstep_recovery = true;
-    EXPECT_THROW(DistSimulator(bad, *eps[0]), std::invalid_argument);
-  }
-  {
-    // Pipelining is per-rank-private and composes with a transport now.
+    // No feature is shared-memory-only anymore: checkpointing, coordinated
+    // recovery and pipelining all live in the rank loop.  What is still
+    // rejected up front is a machine the transport cannot carry.
     auto good = pipelined(cfg);
+    good.checkpoint.dir = "/tmp/embsp_unused_ckpt";
+    good.superstep_recovery = true;
     EXPECT_NO_THROW(DistSimulator(good, *eps[0]));
   }
   {

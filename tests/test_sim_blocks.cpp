@@ -15,6 +15,64 @@
 namespace embsp::sim {
 namespace {
 
+// The block format and the MessageStore speak MessageRef views; these
+// helpers let the tests keep owning messages as their reference values.
+
+std::vector<bsp::MessageRef> refs_of(
+    std::span<const bsp::Message* const> msgs) {
+  std::vector<bsp::MessageRef> refs;
+  for (const auto* m : msgs) {
+    refs.push_back({m->src, m->dst, m->seq, m->payload});
+  }
+  return refs;
+}
+
+std::vector<bsp::MessageRef> refs_of(const std::vector<bsp::Message>& msgs) {
+  std::vector<bsp::MessageRef> refs;
+  for (const auto& m : msgs) refs.push_back({m.src, m.dst, m.seq, m.payload});
+  return refs;
+}
+
+/// Owning copies of views that die with their arena.
+std::vector<bsp::Message> owned(const std::vector<bsp::MessageRef>& refs) {
+  std::vector<bsp::Message> out;
+  for (const auto& r : refs) {
+    out.push_back({r.src, r.dst, r.seq, {r.payload.begin(), r.payload.end()}});
+  }
+  return out;
+}
+
+std::size_t pack_messages(
+    std::span<const bsp::Message* const> msgs, std::uint32_t dst_group,
+    std::size_t block_size,
+    const std::function<void(std::span<const std::byte>)>& emit) {
+  return pack_blocks(refs_of(msgs), dst_group, block_size, emit);
+}
+
+/// Reassembles into its own arena and hands back owning messages.
+struct OwningReassembler {
+  explicit OwningReassembler(std::uint64_t max_message_bytes = 0)
+      : r(arena, max_message_bytes) {}
+  void absorb(std::span<const std::byte> block, std::uint32_t group) {
+    r.absorb(block, group);
+  }
+  std::vector<bsp::Message> take() { return owned(r.take_refs()); }
+
+  util::Arena arena;
+  Reassembler r;
+};
+
+void write_messages(MessageStore& store, const std::vector<bsp::Message>& msgs,
+                    const std::function<std::uint32_t(std::uint32_t)>& group_of,
+                    util::Rng& rng) {
+  store.write_message_refs(refs_of(msgs), group_of, rng);
+}
+
+std::vector<bsp::Message> fetch_group(MessageStore& store, std::uint32_t g) {
+  util::Arena arena;
+  return owned(store.fetch_group_refs(g, arena));
+}
+
 bsp::Message make_msg(std::uint32_t src, std::uint32_t dst, std::uint32_t seq,
                       std::size_t len) {
   bsp::Message m;
@@ -35,7 +93,7 @@ std::vector<bsp::Message> pack_and_reassemble(
   std::vector<const bsp::Message*> ptrs;
   for (const auto& m : msgs) ptrs.push_back(&m);
   std::vector<std::vector<std::byte>> blocks;
-  pack_blocks(ptrs, 0, block_size, [&](std::span<const std::byte> b) {
+  pack_messages(ptrs, 0, block_size, [&](std::span<const std::byte> b) {
     blocks.emplace_back(b.begin(), b.end());
   });
   if (shuffle_blocks) {
@@ -44,7 +102,7 @@ std::vector<bsp::Message> pack_and_reassemble(
       std::swap(blocks[i - 1], blocks[rng.below(i)]);
     }
   }
-  Reassembler r;
+  OwningReassembler r;
   for (const auto& b : blocks) r.absorb(b, 0);
   return r.take();
 }
@@ -99,7 +157,7 @@ TEST(BlockFormat, BlocksAreFull) {
   std::vector<const bsp::Message*> ptrs;
   for (const auto& m : msgs) ptrs.push_back(&m);
   std::size_t blocks = 0;
-  pack_blocks(ptrs, 0, 128,
+  pack_messages(ptrs, 0, 128,
               [&](std::span<const std::byte>) { ++blocks; });
   // ~1000 payload bytes + ~22 per chunk; with 120 usable per block this
   // needs at least 9 blocks and should not exceed 13.
@@ -111,7 +169,7 @@ TEST(BlockFormat, DummyBlockSkipped) {
   std::vector<std::byte> dummy;
   make_dummy_block(5, 64, dummy);
   EXPECT_TRUE(is_dummy_block(dummy));
-  Reassembler r;
+  OwningReassembler r;
   r.absorb(dummy, 5);
   EXPECT_TRUE(r.take().empty());
 }
@@ -120,10 +178,10 @@ TEST(BlockFormat, WrongGroupDetected) {
   auto m = make_msg(0, 1, 0, 8);
   std::vector<const bsp::Message*> ptrs{&m};
   std::vector<std::byte> block;
-  pack_blocks(ptrs, 3, 64, [&](std::span<const std::byte> b) {
+  pack_messages(ptrs, 3, 64, [&](std::span<const std::byte> b) {
     block.assign(b.begin(), b.end());
   });
-  Reassembler r;
+  OwningReassembler r;
   EXPECT_THROW(r.absorb(block, 4), std::runtime_error);
 }
 
@@ -131,11 +189,11 @@ TEST(BlockFormat, IncompleteMessageDetected) {
   auto m = make_msg(0, 1, 0, 500);
   std::vector<const bsp::Message*> ptrs{&m};
   std::vector<std::vector<std::byte>> blocks;
-  pack_blocks(ptrs, 0, 64, [&](std::span<const std::byte> b) {
+  pack_messages(ptrs, 0, 64, [&](std::span<const std::byte> b) {
     blocks.emplace_back(b.begin(), b.end());
   });
   ASSERT_GT(blocks.size(), 1u);
-  Reassembler r;
+  OwningReassembler r;
   r.absorb(blocks[0], 0);  // drop the rest
   EXPECT_THROW(r.take(), std::runtime_error);
 }
@@ -182,7 +240,7 @@ std::vector<std::byte> valid_block(std::size_t block_size = 64,
   auto m = make_msg(1, 2, 0, payload_len);
   std::vector<const bsp::Message*> ptrs{&m};
   std::vector<std::byte> block;
-  pack_blocks(ptrs, 0, block_size, [&](std::span<const std::byte> b) {
+  pack_messages(ptrs, 0, block_size, [&](std::span<const std::byte> b) {
     block.assign(b.begin(), b.end());
   });
   return block;
@@ -191,7 +249,7 @@ std::vector<std::byte> valid_block(std::size_t block_size = 64,
 TEST(CorruptBlock, TruncatedHeaderThrows) {
   std::vector<std::byte> tiny(kBlockHeaderBytes - 1, std::byte{0});
   EXPECT_THROW(parse_header(tiny), std::invalid_argument);
-  Reassembler r;
+  OwningReassembler r;
   EXPECT_THROW(r.absorb(tiny, 0), std::exception);
 }
 
@@ -200,7 +258,7 @@ TEST(CorruptBlock, NChunksBeyondSpanThrows) {
   // the parser must reject it up front instead of walking off the end.
   auto block = valid_block();
   poke_u16(block, 4, 0x7FFF);
-  Reassembler r;
+  OwningReassembler r;
   EXPECT_THROW(r.absorb(block, 0), em::CorruptBlockError);
 }
 
@@ -212,7 +270,7 @@ TEST(CorruptBlock, TruncatedChunkHeaderThrows) {
   // remain, enough for the second header (22) — shrink the block so the
   // second header is cut off.
   block.resize(kBlockHeaderBytes + kChunkHeaderBytes + 8 + 10);
-  Reassembler r;
+  OwningReassembler r;
   EXPECT_THROW(r.absorb(block, 0), em::CorruptBlockError);
 }
 
@@ -220,7 +278,7 @@ TEST(CorruptBlock, ChunkLenPastBlockEndThrows) {
   // chunk_len points past the physical block span.
   auto block = valid_block();
   poke_u16(block, kBlockHeaderBytes + 20, 0xFFF0);
-  Reassembler r;
+  OwningReassembler r;
   EXPECT_THROW(r.absorb(block, 0), em::CorruptBlockError);
 }
 
@@ -230,7 +288,7 @@ TEST(CorruptBlock, OffsetOverflowWrapThrows) {
   // payload.data() + 4 GiB.  The check must be done in 64 bits.
   auto block = valid_block(64, 8);
   poke_u32(block, kBlockHeaderBytes + 16, 0xFFFFFFF8u);
-  Reassembler r;
+  OwningReassembler r;
   EXPECT_THROW(r.absorb(block, 0), em::CorruptBlockError);
 }
 
@@ -238,7 +296,7 @@ TEST(CorruptBlock, OffsetPastTotalLenThrows) {
   // In-range lengths, but the chunk lands past the message's total_len.
   auto block = valid_block(64, 8);
   poke_u32(block, kBlockHeaderBytes + 16, 100);  // offset 100 into an 8-byte msg
-  Reassembler r;
+  OwningReassembler r;
   EXPECT_THROW(r.absorb(block, 0), em::CorruptBlockError);
 }
 
@@ -249,27 +307,27 @@ TEST(CorruptBlock, TotalLenMismatchAcrossChunksThrows) {
   auto m = make_msg(1, 2, 0, 100);
   std::vector<const bsp::Message*> ptrs{&m};
   std::vector<std::vector<std::byte>> blocks;
-  pack_blocks(ptrs, 0, 64, [&](std::span<const std::byte> b) {
+  pack_messages(ptrs, 0, 64, [&](std::span<const std::byte> b) {
     blocks.emplace_back(b.begin(), b.end());
   });
   ASSERT_GE(blocks.size(), 2u);
   poke_u32(blocks[1], kBlockHeaderBytes + 12, 200);  // total_len 100 -> 200
-  Reassembler r;
+  OwningReassembler r;
   r.absorb(blocks[0], 0);
   EXPECT_THROW(r.absorb(blocks[1], 0), em::CorruptBlockError);
 }
 
 TEST(CorruptBlock, OversizedTotalLenRejectedByLimit) {
-  // gamma bounds any legitimate message, so a Reassembler built with that
+  // gamma bounds any legitimate message, so a OwningReassembler built with that
   // cap rejects absurd total_len values before allocating the buffer.
   auto block = valid_block(64, 8);
   poke_u32(block, kBlockHeaderBytes + 12, 1u << 20);  // total_len = 1 MiB
   poke_u32(block, kBlockHeaderBytes + 16, 0);         // keep offset sane
-  Reassembler capped(1024);
+  OwningReassembler capped(1024);
   EXPECT_THROW(capped.absorb(block, 0), em::CorruptBlockError);
   // An uncapped reassembler accepts the header (the chunk itself is
   // in-bounds) and reports the message incomplete at take() time.
-  Reassembler uncapped;
+  OwningReassembler uncapped;
   uncapped.absorb(block, 0);
   EXPECT_THROW(uncapped.take(), std::runtime_error);
 }
@@ -286,7 +344,7 @@ TEST(CorruptBlock, GarbledBlockFuzzNeverCrashes) {
   std::vector<const bsp::Message*> ptrs;
   for (const auto& m : msgs) ptrs.push_back(&m);
   std::vector<std::vector<std::byte>> blocks;
-  pack_blocks(ptrs, 0, 96, [&](std::span<const std::byte> b) {
+  pack_messages(ptrs, 0, 96, [&](std::span<const std::byte> b) {
     blocks.emplace_back(b.begin(), b.end());
   });
   ASSERT_FALSE(blocks.empty());
@@ -306,7 +364,7 @@ TEST(CorruptBlock, GarbledBlockFuzzNeverCrashes) {
             static_cast<std::byte>(1u << rng.below(8));
       }
     }
-    Reassembler r(4096);
+    OwningReassembler r(4096);
     try {
       r.absorb(block, 0);
       (void)r.take();
@@ -668,13 +726,13 @@ TEST_P(MessageStoreTest, WriteReorganizeFetchRoundTrip) {
   for (std::uint32_t i = 0; i < 100; ++i) {
     msgs.push_back(make_msg(i % 16, i % 32, i, (i * 11) % 200));
   }
-  store.write_messages(msgs, [](std::uint32_t dst) { return dst / 4; }, rng);
+  write_messages(store, msgs, [](std::uint32_t dst) { return dst / 4; }, rng);
   store.flush(rng);
   store.reorganize(rng);
 
   std::vector<bsp::Message> got;
   for (std::uint32_t g = 0; g < 8; ++g) {
-    auto part = store.fetch_group(g);
+    auto part = fetch_group(store, g);
     for (auto& m : part) {
       EXPECT_EQ(m.dst / 4, g);
       got.push_back(std::move(m));
@@ -695,12 +753,12 @@ TEST_P(MessageStoreTest, SecondSuperstepReusesSpace) {
     for (std::uint32_t i = 0; i < 20; ++i) {
       msgs.push_back(make_msg(i, i % 8, i + superstep * 100, 50));
     }
-    store.write_messages(msgs, group_of, rng);
+    write_messages(store, msgs, group_of, rng);
     store.flush(rng);
     store.reorganize(rng);
     std::vector<bsp::Message> got;
     for (std::uint32_t g = 0; g < 4; ++g) {
-      auto part = store.fetch_group(g);
+      auto part = fetch_group(store, g);
       got.insert(got.end(), std::make_move_iterator(part.begin()),
                  std::make_move_iterator(part.end()));
     }
@@ -718,7 +776,7 @@ TEST_P(MessageStoreTest, CapacityOverflowDiagnosed) {
   util::Rng rng(11);
   std::vector<bsp::Message> msgs;
   for (std::uint32_t i = 0; i < 50; ++i) msgs.push_back(make_msg(0, 0, i, 100));
-  EXPECT_THROW(store.write_messages(
+  EXPECT_THROW(write_messages(store,
                    msgs, [](std::uint32_t) { return 0u; }, rng),
                std::runtime_error);
 }
@@ -750,7 +808,7 @@ TEST(MessageStore, DeterministicModeBalancesExactly) {
   for (std::uint32_t i = 0; i < 300; ++i) {
     msgs.push_back(make_msg(i, i % 8, i, 100));
   }
-  store.write_messages(msgs, [](std::uint32_t dst) { return dst / 2; }, rng);
+  write_messages(store, msgs, [](std::uint32_t dst) { return dst / 2; }, rng);
   store.flush(rng);
   const auto& buckets = store.buckets();
   for (std::uint32_t b = 0; b < 4; ++b) {
@@ -777,7 +835,7 @@ TEST(MessageStore, PaddedModeWritesFullCapacity) {
   EXPECT_EQ(stats.dummy_blocks, 32u);
   for (std::uint32_t g = 0; g < 4; ++g) {
     EXPECT_EQ(store.group_blocks(g), 8u);
-    EXPECT_TRUE(store.fetch_group(g).empty());  // dummies skipped
+    EXPECT_TRUE(fetch_group(store, g).empty());  // dummies skipped
   }
 }
 
@@ -802,7 +860,7 @@ TEST(MessageStore, RoutingBalanceStats) {
   for (std::uint32_t i = 0; i < 400; ++i) {
     msgs.push_back(make_msg(i, i % 16, i, 90));
   }
-  store.write_messages(msgs, [](std::uint32_t dst) { return dst / 2; }, rng);
+  write_messages(store, msgs, [](std::uint32_t dst) { return dst / 2; }, rng);
   store.flush(rng);
   auto stats = store.reorganize(rng);
   EXPECT_GT(stats.blocks_total, 0u);

@@ -2,7 +2,9 @@
 
 #include "bsp/direct_runtime.hpp"
 #include "sim/par_simulator.hpp"
+#include "sim_digest.hpp"
 #include "test_programs.hpp"
+#include "transport_helpers.hpp"
 
 namespace embsp::sim {
 namespace {
@@ -26,10 +28,44 @@ SimConfig par_config(std::uint32_t p, std::uint32_t v, std::size_t D,
   return cfg;
 }
 
+/// Runs `prog` as p DistSimulator ranks over a socket mesh and returns the
+/// digest of rank 0's view (empty `states` when `collect_states` is off).
+template <bsp::Program P>
+std::uint64_t socket_digest(
+    const P& prog, const SimConfig& cfg,
+    const std::function<typename P::State(std::uint32_t)>& make_state,
+    bool collect_states) {
+  using State = typename P::State;
+  const std::uint32_t p = cfg.machine.p;
+  auto eps = make_socket_group(
+      p, ::testing::UnitTest::GetInstance()->current_test_info()->name());
+  std::vector<std::vector<std::byte>> states(collect_states ? cfg.machine.bsp.v
+                                                            : 0);
+  SimResult result;
+  run_ranks(eps, [&](std::uint32_t me, net::Transport& tp) {
+    DistSimulator sim(cfg, tp);
+    std::function<void(std::uint32_t, State&)> collect;
+    if (me == 0 && collect_states) {
+      collect = [&](std::uint32_t pid, State& s) {
+        util::Writer w;
+        s.serialize(w);
+        states[pid] = w.take();
+      };
+    }
+    auto r = sim.run<P>(prog, make_state, collect);
+    if (me == 0) result = std::move(r);
+  });
+  return embsp::testing::run_digest(result, states);
+}
+
+/// Direct-runtime equivalence plus the golden digest recorded from the
+/// threaded mailbox simulator the rank loop replaced: ParSimulator (loopback
+/// ranks) and a socket mesh must both reproduce it.
 template <bsp::Program P>
 void expect_equivalent(const P& prog, SimConfig cfg,
                        const std::function<typename P::State(std::uint32_t)>&
-                           make_state) {
+                           make_state,
+                       std::uint64_t golden) {
   using State = typename P::State;
   const std::uint32_t v = cfg.machine.bsp.v;
   std::vector<std::vector<std::byte>> direct_states(v), sim_states(v);
@@ -53,6 +89,8 @@ void expect_equivalent(const P& prog, SimConfig cfg,
     EXPECT_EQ(direct_states[i], sim_states[i]) << "processor " << i;
   }
   EXPECT_EQ(result.lambda(), direct.lambda());
+  EXPECT_EQ(embsp::testing::run_digest(result, sim_states), golden);
+  EXPECT_EQ(socket_digest(prog, cfg, make_state, true), golden);
 }
 
 TEST(ParSimulator, PrefixSumTwoProcs) {
@@ -62,7 +100,8 @@ TEST(ParSimulator, PrefixSumTwoProcs) {
                       PrefixSumProgram::State s;
                       s.value = pid + 1;
                       return s;
-                    });
+                    },
+                    0xa144bb2e16a6b5adULL);
 }
 
 TEST(ParSimulator, PrefixSumFourProcs) {
@@ -72,7 +111,8 @@ TEST(ParSimulator, PrefixSumFourProcs) {
                       PrefixSumProgram::State s;
                       s.value = pid * 5 + 2;
                       return s;
-                    });
+                    },
+                    0xfd0f32ae6e9ed37bULL);
 }
 
 TEST(ParSimulator, RingAcrossProcessors) {
@@ -83,26 +123,30 @@ TEST(ParSimulator, RingAcrossProcessors) {
                       RingProgram::State s;
                       s.data = {pid};
                       return s;
-                    });
+                    },
+                    0x0fa104661a0e0f0dULL);
 }
 
 TEST(ParSimulator, IrregularTraffic) {
   IrregularProgram prog;
   expect_equivalent(prog, par_config(3, 12, 2, 128, 64, 4096),
-                    [](std::uint32_t) { return IrregularProgram::State{}; });
+                    [](std::uint32_t) { return IrregularProgram::State{}; },
+                    0xca60504631b06892ULL);
 }
 
 TEST(ParSimulator, EmptyMessages) {
   EmptyMessageProgram prog;
   expect_equivalent(prog, par_config(2, 6, 2, 64, 32, 256),
-                    [](std::uint32_t) { return EmptyMessageProgram::State{}; });
+                    [](std::uint32_t) { return EmptyMessageProgram::State{}; },
+                    0x98c2e602b5b243b5ULL);
 }
 
 TEST(ParSimulator, BigMessageCrossesProcessors) {
   BigMessageProgram prog;
   prog.words = 1500;
   expect_equivalent(prog, par_config(2, 4, 2, 128, 64, 14000),
-                    [](std::uint32_t) { return BigMessageProgram::State{}; });
+                    [](std::uint32_t) { return BigMessageProgram::State{}; },
+                    0x4d67a9f81cb5e138ULL);
 }
 
 TEST(ParSimulator, SingleProcessorDegenerate) {
@@ -113,7 +157,8 @@ TEST(ParSimulator, SingleProcessorDegenerate) {
                       PrefixSumProgram::State s;
                       s.value = pid;
                       return s;
-                    });
+                    },
+                    0xf69ebbe032743aa5ULL);
 }
 
 TEST(ParSimulator, DeterministicAcrossRuns) {
@@ -161,6 +206,7 @@ TEST(ParSimulator, PerProcessorIoBalanced) {
   auto result = sim.run<IrregularProgram>(
       prog, [](std::uint32_t) { return IrregularProgram::State{}; },
       [](std::uint32_t, IrregularProgram::State&) {});
+  EXPECT_EQ(embsp::testing::run_digest(result, {}), 0xec9c9019d18f8101ULL);
   ASSERT_EQ(result.per_proc_io.size(), 4u);
   std::uint64_t lo = UINT64_MAX, hi = 0;
   for (const auto& io : result.per_proc_io) {
@@ -182,6 +228,7 @@ TEST(ParSimulator, RealCommunicationMetered) {
         return s;
       },
       [](std::uint32_t, PrefixSumProgram::State&) {});
+  EXPECT_EQ(embsp::testing::run_digest(result, {}), 0x70d92b10e30cf982ULL);
   // The all-to-all pattern must move real bytes between real processors.
   EXPECT_GT(result.real_comm_bytes, 0u);
 }

@@ -344,33 +344,6 @@ TEST(SimPipeline, RoutingModesStayDeterministic) {
 
 // --- Zero-copy / coalescing parity -------------------------------------------
 
-TEST(SimPipeline, ZeroCopyOffMatchesOnByteForByte) {
-  // The arena/MessageRef path must be indistinguishable from the legacy
-  // copying path: same program results, same model costs, and bit-for-bit
-  // the same disk images for a fixed seed.
-  scrub_images("zc_on");
-  scrub_images("zc_off");
-  IrregularProgram prog;
-  prog.rounds = 4;
-  auto on_cfg = base_config(1, 24);  // zero_copy defaults to true
-  auto off_cfg = on_cfg;
-  off_cfg.zero_copy = false;
-  sim::SimResult on_res, off_res;
-  const auto on = run_seq_collect(prog, on_cfg, on_res, "zc_on");
-  const auto off = run_seq_collect(prog, off_cfg, off_res, "zc_off");
-  EXPECT_EQ(on, off);
-  expect_same_costs(on_res, off_res);
-  for (std::size_t d = 0; d < 4; ++d) {
-    const auto a = image_bytes("zc_on", d);
-    const auto b = image_bytes("zc_off", d);
-    ASSERT_FALSE(a.empty());
-    EXPECT_EQ(a, b) << "disk image " << d
-                    << " differs between zero-copy and copying path";
-  }
-  scrub_images("zc_on");
-  scrub_images("zc_off");
-}
-
 TEST(SimPipeline, CoalesceOffMatchesOnByteForByte) {
   // Track coalescing is purely physical: with it disabled the same batched
   // submissions run track-by-track, and nothing model-visible may change.
@@ -532,18 +505,6 @@ TEST(SimPipeline, ParPipelinedMatchesBaseline) {
   const auto b = run_par_collect(prog, pipelined(cfg, 3), piped);
   EXPECT_EQ(a, b);
   expect_same_costs(base, piped);
-}
-
-TEST(SimPipeline, ParZeroCopyOffMatchesOn) {
-  IrregularProgram prog;
-  auto on_cfg = base_config(2, 32);  // zero_copy defaults to true
-  auto off_cfg = on_cfg;
-  off_cfg.zero_copy = false;
-  sim::SimResult on_res, off_res;
-  const auto a = run_par_collect(prog, on_cfg, on_res);
-  const auto b = run_par_collect(prog, off_cfg, off_res);
-  EXPECT_EQ(a, b);
-  expect_same_costs(on_res, off_res);
 }
 
 TEST(SimPipeline, ParAbortPathStaysClean) {

@@ -227,7 +227,6 @@ TEST(VectoredBackend, FaultScheduleSeesSameCallIndices) {
 
 struct Fuzzed {
   std::vector<bsp::Message> owned;
-  std::vector<const bsp::Message*> ptrs;
   std::vector<bsp::MessageRef> refs;
 };
 
@@ -248,33 +247,12 @@ Fuzzed fuzz_messages(std::uint64_t seed, std::size_t n,
     f.owned.push_back(std::move(m));
   }
   for (const auto& m : f.owned) {
-    f.ptrs.push_back(&m);
     f.refs.push_back({m.src, m.dst, m.seq, m.payload});
   }
   return f;
 }
 
 using Blocks = std::vector<std::vector<std::byte>>;
-
-TEST(MessageRefPath, PackBlocksRefMatchesOwningBitForBit) {
-  for (std::uint64_t seed : {1u, 7u, 42u}) {
-    const auto f = fuzz_messages(seed, 64, 600);
-    Blocks a, b;
-    const std::size_t block = 128;
-    const auto na = sim::pack_blocks(
-        std::span<const bsp::Message* const>(f.ptrs), /*dst_group=*/3, block,
-        [&](std::span<const std::byte> blk) {
-          a.emplace_back(blk.begin(), blk.end());
-        });
-    const auto nb = sim::pack_blocks(
-        std::span<const bsp::MessageRef>(f.refs), 3, block,
-        [&](std::span<const std::byte> blk) {
-          b.emplace_back(blk.begin(), blk.end());
-        });
-    EXPECT_EQ(na, nb) << seed;
-    EXPECT_EQ(a, b) << "blocks differ for seed " << seed;
-  }
-}
 
 TEST(MessageRefPath, PackBlocksIntoMatchesEmit) {
   const auto f = fuzz_messages(99, 48, 500);
@@ -311,7 +289,7 @@ TEST(MessageRefPath, ArenaReassemblyRoundTripFuzz) {
       std::swap(blocks[i - 1], blocks[rng.below(i)]);
     }
     util::Arena arena;
-    sim::Reassembler reasm(/*max_message_bytes=*/1 << 20, &arena);
+    sim::Reassembler reasm(arena, /*max_message_bytes=*/1 << 20);
     for (const auto& blk : blocks) reasm.absorb(blk, /*expected_group=*/0);
     auto got = reasm.take_refs();
     ASSERT_EQ(got.size(), f.owned.size());

@@ -21,8 +21,6 @@
 //                      (--routing is an alias; auto keeps routing in memory
 //                      and skips Algorithm 2 when the staging budget fits,
 //                      falling back to compact otherwise)
-//     --no-zero-copy   route message payloads through the legacy copying
-//                      path (same results; for comparison/debugging)
 //     --no-coalesce    disable vectored coalescing of adjacent-track runs
 //     --auto-tune      let the layout planner pick the tuning knobs (group
 //                      size, routing mode, coalescing, compute-pool width)
@@ -35,8 +33,9 @@
 //     --csv <path>     write the per-superstep cost trace (p=1 only)
 //     --faults <rate>  inject transient I/O faults at this per-call rate
 //                      (plus torn writes and bit flips at rate/2 each);
-//                      enables block checksums, retry/backoff and — for
-//                      p=1 — superstep-granular recovery.  Results are
+//                      enables block checksums, retry/backoff and
+//                      superstep-granular recovery (all ranks roll back
+//                      together when p > 1).  Results are
 //                      identical to a fault-free run; the recovery rows
 //                      in the report show what the substrate absorbed.
 //     --metrics <path> write a JSON metrics snapshot (per-phase wall/model
@@ -86,10 +85,11 @@
 //                      check the crash-restart harness scripts against)
 //     --transport <t>  loopback | socket — run the distributed simulator
 //                      (Algorithm 3 over the net/ transport tier) instead
-//                      of the shared-memory executors.  loopback drives p
-//                      in-process endpoints (byte-identical to the
-//                      threaded simulator); socket runs p real processes
-//                      over unix-domain or TCP sockets.
+//                      of the in-process executors.  loopback drives p
+//                      in-process endpoints (the engine --p uses); socket
+//                      runs p real processes over unix-domain or TCP
+//                      sockets.  Composes with --checkpoint/--resume and
+//                      --faults.
 //     --workers <p>    worker count for --transport (overrides --p)
 //     --listen <addr>  with --transport socket: mesh address — a
 //                      unix-socket path prefix, or host:port for TCP
@@ -150,7 +150,6 @@ struct Options {
   std::string metrics;
   std::string trace;
   bool pipeline = false;
-  bool zero_copy = true;
   bool coalesce = true;
   bool auto_tune = false;
   std::size_t compute_threads = 1;
@@ -178,7 +177,7 @@ int usage() {
          "             [--seed S] [--csv PATH] [--faults RATE]\n"
          "             [--metrics PATH] [--trace-events PATH]\n"
          "             [--pipeline] [--compute-threads T]\n"
-         "             [--no-zero-copy] [--no-coalesce] [--auto-tune]\n"
+         "             [--no-coalesce] [--auto-tune]\n"
          "             [--io-engine serial|parallel|uring] [--direct]\n"
          "             [--disk-dir DIR]\n"
          "             [--checkpoint DIR] [--checkpoint-every N]\n"
@@ -218,11 +217,6 @@ bool parse(int argc, char** argv, Options& opt) {
     // Flags without a value.
     if (flag == "--pipeline") {
       opt.pipeline = true;
-      ++i;
-      continue;
-    }
-    if (flag == "--no-zero-copy") {
-      opt.zero_copy = false;
       ++i;
       continue;
     }
@@ -367,16 +361,6 @@ bool parse(int argc, char** argv, Options& opt) {
     if (opt.rank_set && opt.rank >= opt.p) {
       std::cerr << "embsp: --rank " << opt.rank
                 << " out of range for --workers " << opt.p << "\n";
-      return false;
-    }
-    // Features whose protocols assume shared memory; DistSimulator rejects
-    // them too, but catching the combination here gives a usage-level
-    // message instead of a runtime error.  (--pipeline is NOT one of them:
-    // it composes with --transport — each rank runs the double-buffered
-    // schedule and overlaps wire traffic with compute.)
-    if (!opt.checkpoint_dir.empty()) {
-      std::cerr << "embsp: --checkpoint/--resume are not supported with "
-                   "--transport\n";
       return false;
     }
   }
@@ -632,7 +616,6 @@ int run_workload(const Options& opt, Fn fn) {
   cfg.machine.em = {opt.M, opt.D, opt.B, 1.0};
   cfg.k = opt.k;
   cfg.routing = opt.mode;
-  cfg.zero_copy = opt.zero_copy;
   cfg.coalesce_io = opt.coalesce;
   cfg.auto_tune = opt.auto_tune;
   cfg.seed = opt.seed;
@@ -661,14 +644,9 @@ int run_workload(const Options& opt, Fn fn) {
     cfg.faults.bit_flip_rate = opt.faults / 2;
     cfg.block_checksums = true;
     // Superstep-granular rollback: the sequential simulator re-executes the
-    // failed superstep; the parallel simulator rolls all processors back to
-    // the last committed epoch together (coordinated recovery).
+    // failed superstep; with p > 1 every rank rolls back to the last
+    // committed epoch together (coordinated recovery).
     cfg.superstep_recovery = true;
-  }
-  if (!opt.transport.empty()) {
-    // DistSimulator has no coordinated rollback protocol yet; transient
-    // injected faults are absorbed by per-transfer retry/backoff instead.
-    cfg.superstep_recovery = false;
   }
   cfg.checkpoint.dir = opt.checkpoint_dir;
   cfg.checkpoint.every = opt.checkpoint_every;
