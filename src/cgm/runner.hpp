@@ -3,8 +3,8 @@
 // CGM algorithm drivers (cgm_sort, cgm_list_ranking, ...) are templated on
 // an executor so the same program runs on:
 //   * DirectExec — the in-memory reference runtime,
-//   * SeqEmExec  — the 1-processor EM-BSP* simulator (Algorithm 1),
-//   * ParEmExec  — the p-processor EM-BSP* simulator (Algorithm 3).
+//   * ParEmExec  — the p-processor EM-BSP* simulator (Algorithm 3),
+//   * SeqEmExec  — ParEmExec at p = 1 (Algorithm 1),
 //   * DistEmExec — one rank of a distributed EM-BSP* run.
 // Each adapter exposes run(prog, v, make_state, collect) -> ExecResult.
 // The EM adapters fill in mu/gamma the caller left unset through
@@ -72,9 +72,9 @@ sim::SimConfig autoconfigure(
   return cfg;
 }
 
-class SeqEmExec {
+class ParEmExec {
  public:
-  explicit SeqEmExec(sim::SimConfig cfg) : cfg_(cfg) { cfg_.machine.p = 1; }
+  explicit ParEmExec(sim::SimConfig cfg) : cfg_(cfg) {}
 
   template <bsp::Program P>
   ExecResult run(
@@ -87,7 +87,7 @@ class SeqEmExec {
     // so a resumed process re-executes completed runs deterministically and
     // resumes only the interrupted one.
     cfg.checkpoint.run_index = runs_started_++;
-    sim::SeqSimulator s(cfg);
+    sim::ParSimulator s(cfg);
     auto r = s.run(prog, make_state, collect);
     ExecResult out{r.lambda(), r.costs, std::nullopt};
     out.sim = std::move(r);
@@ -99,27 +99,16 @@ class SeqEmExec {
   std::size_t runs_started_ = 0;
 };
 
-class ParEmExec {
+/// ParEmExec with p fixed to 1: Algorithm 1, the one-rank case.
+class SeqEmExec : public ParEmExec {
  public:
-  explicit ParEmExec(sim::SimConfig cfg) : cfg_(cfg) {}
-
-  template <bsp::Program P>
-  ExecResult run(
-      const P& prog, std::uint32_t v,
-      const std::function<typename P::State(std::uint32_t)>& make_state,
-      const std::function<void(std::uint32_t, typename P::State&)>& collect) {
-    auto cfg = autoconfigure(cfg_, prog, v, make_state);
-    cfg.checkpoint.run_index = runs_started_++;  // see SeqEmExec::run
-    sim::ParSimulator s(cfg);
-    auto r = s.run(prog, make_state, collect);
-    ExecResult out{r.lambda(), r.costs, std::nullopt};
-    out.sim = std::move(r);
-    return out;
-  }
+  explicit SeqEmExec(sim::SimConfig cfg) : ParEmExec(one_processor(cfg)) {}
 
  private:
-  sim::SimConfig cfg_;
-  std::size_t runs_started_ = 0;
+  static sim::SimConfig one_processor(sim::SimConfig cfg) {
+    cfg.machine.p = 1;
+    return cfg;
+  }
 };
 
 /// One rank of a distributed run: every participating process (or loopback
@@ -141,7 +130,7 @@ class DistEmExec {
       const std::function<typename P::State(std::uint32_t)>& make_state,
       const std::function<void(std::uint32_t, typename P::State&)>& collect) {
     auto cfg = autoconfigure(cfg_, prog, v, make_state);
-    cfg.checkpoint.run_index = runs_started_++;  // see SeqEmExec::run
+    cfg.checkpoint.run_index = runs_started_++;  // see ParEmExec::run
     sim::DistSimulator s(cfg, *tp_);
     auto r = s.run(prog, make_state, collect);
     ExecResult out{r.lambda(), r.costs, std::nullopt};

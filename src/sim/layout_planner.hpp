@@ -1,7 +1,8 @@
 // Layout planning for the EM-BSP* simulators.
 //
-// One planner computes the group layout all three simulators used to derive
-// inline (SeqSimulator / ParSimulator / DistSimulator): the flat SimLayout
+// One planner computes the group layout of the rank loop
+// (sim/dist_simulator.hpp, behind SeqSimulator and ParSimulator too): the
+// flat SimLayout
 // of §5.1 (k = floor(M/slot) grouping, group receive capacity, the staging
 // budget left for routing), plus two extensions:
 //
@@ -37,8 +38,7 @@ namespace embsp::sim {
 
 /// Typed configuration error for layouts the machine cannot host: a single
 /// context slot larger than M, zero virtual processors (k would underflow
-/// to 0), a flat group request exceeding the memory bound, or a feature
-/// combination the multi-level schedule does not support.  Persistent in
+/// to 0) or a flat group request exceeding the memory bound.  Persistent in
 /// the em::IoError taxonomy — retrying the same config cannot succeed.
 class LayoutError : public em::IoError {
  public:

@@ -727,13 +727,6 @@ MessageStore::Snapshot MessageStore::snapshot() const {
 }
 
 void MessageStore::export_state(util::Writer& w) {
-  if (hierarchical()) {
-    // The simulators reject checkpointing under the multi-level schedule;
-    // this backstop keeps a future caller from silently dropping the
-    // distribution scratch from the record.
-    throw std::logic_error(
-        "MessageStore::export_state: hierarchical schedule not supported");
-  }
   if (!pending_.empty() || !inflight_.empty()) {
     throw std::logic_error(
         "MessageStore::export_state: staging side not quiesced");
@@ -775,6 +768,8 @@ void MessageStore::export_state(util::Writer& w) {
 }
 
 void MessageStore::restore_state(util::Reader& r) {
+  // The distribution scratch is a cache over the arena (see restore()).
+  dist_super_ = kNoSuper;
   const auto mem = r.read<std::uint8_t>();
   if ((mem != 0) != mem_mode_) {
     throw std::runtime_error(

@@ -248,7 +248,9 @@ class MessageStore {
   /// at a superstep boundary — after reorganize(), the staging side is
   /// provably empty (flushed, drained, zeroed) and is asserted so.  Block
   /// bytes are read back via Disk::peek_track with the fault-unwrapped
-  /// backend: no model I/O, no fault-schedule draws.
+  /// backend: no model I/O, no fault-schedule draws.  Under the two-level
+  /// schedule the record holds the super-group arena; the distribution
+  /// scratch is a cache over it, re-cut on the first fetch after restore.
   void export_state(util::Writer& w);
 
   /// Restore a record produced by export_state into this (freshly

@@ -8,9 +8,10 @@
 // 0 runs on the calling thread and returns its SimResult, which every rank
 // assembles identically.  Each rank deserializes its own final states in
 // parallel; `collect` then sees all of them on the calling thread, in
-// virtual-processor order, once every rank has finished.  Checkpoint/
-// resume, coordinated superstep recovery and pipelining are the rank
-// loop's.
+// virtual-processor order, once every rank has finished.  At p = 1 the one
+// rank runs on the calling thread and `collect` is handed straight to it.
+// Checkpoint/resume, coordinated superstep recovery and pipelining are the
+// rank loop's.
 #pragma once
 
 #include <functional>
@@ -59,10 +60,12 @@ SimResult ParSimulator::run(
   const auto p = static_cast<std::uint32_t>(ranks_.size());
   SimResult result;
   std::vector<std::exception_ptr> errors(p);
-  // Each rank fills its own slice.
-  std::vector<State> final_states(collect ? config().machine.bsp.v : 0);
-  std::function<void(std::uint32_t, State&)> keep;
-  if (collect) {
+  // Each rank fills its own slice; a single rank, running on this thread,
+  // streams its states to `collect` directly.
+  std::vector<State> final_states(collect && p > 1 ? config().machine.bsp.v
+                                                   : 0);
+  std::function<void(std::uint32_t, State&)> keep = collect;
+  if (collect && p > 1) {
     keep = [&](std::uint32_t vp, State& s) { final_states[vp] = std::move(s); };
   }
   auto rank_main = [&](std::uint32_t r) {

@@ -209,18 +209,18 @@ struct PhaseIo {
 
 struct SimResult {
   bsp::RunCosts costs;        ///< per-superstep BSP-level cost records
-  em::IoStats total_io;       ///< all parallel I/O (max over processors in
-                              ///< the parallel simulator)
+  em::IoStats total_io;       ///< all parallel I/O (max over processors
+                              ///< when p > 1)
   std::vector<em::IoStats> per_proc_io;  ///< one entry per real processor
-  /// Per-superstep I/O deltas (sequential simulator only; used by the CSV
-  /// trace writer in sim/trace.hpp).
+  /// Per-superstep I/O deltas of the processor with the most parallel I/Os
+  /// that superstep (used by the CSV trace writer in sim/trace.hpp).
   std::vector<em::IoStats> per_superstep_io;
-  PhaseIo phase_io;           ///< phase breakdown (processor 0 in parallel)
+  PhaseIo phase_io;           ///< phase breakdown (processor 0 when p > 1)
   RoutingStats routing_stats; ///< accumulated SimulateRouting statistics
   std::size_t group_size = 0; ///< k actually used
   std::uint64_t max_tracks_per_disk = 0;  ///< disk space (Lemma 1 bound)
-  /// Real-processor communication per superstep (parallel simulator only):
-  /// max bytes sent/received by one real processor.
+  /// Real-processor communication per superstep: max bytes one real
+  /// processor sent to the others (0 when p = 1).
   std::uint64_t real_comm_bytes = 0;
   /// Retries, rollbacks and injected faults observed during the run.
   RecoveryStats recovery;

@@ -561,6 +561,52 @@ TEST(CrashRestart, KillNineMidTransportRunThenResumeMatches) {
   EXPECT_EQ(digest_of(res, got), kGoldenPlain);
 }
 
+TEST(CrashRestart, KillNineMidSocketRunThenResumeMatches) {
+  // The oracle over a real socket mesh: a forked child runs two ranks over
+  // unix-domain sockets with checkpointing until a crash point on rank 0's
+  // disk 0 kills the whole process (sockets, disks and all); the parent
+  // resumes both ranks over a fresh mesh from the orphaned directory.
+  auto cfg = base_config(2, 16, em::IoEngine::serial);
+  SimResult base_res;
+  const auto expected = run_engine(Engine::socket, cfg, base_res);
+  EXPECT_EQ(digest_of(base_res, expected), kGoldenPlain);
+  const std::uint64_t disk0_calls =
+      (base_res.per_proc_io[0].blocks_read +
+       base_res.per_proc_io[0].blocks_written) /
+      4;
+  ASSERT_GT(disk0_calls, 8u);
+
+  const auto dir = fresh_dir("crash_kill9_socket");
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    auto doomed = cfg;
+    doomed.checkpoint.dir = dir;
+    doomed.faults.scripted.push_back(
+        {em::FaultKind::crash, 0u, disk0_calls / 2});
+    SimResult r;
+    try {
+      run_engine(Engine::socket, doomed, r);
+    } catch (...) {
+    }
+    std::_Exit(0);  // reached only if the crash point never fired
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 137) << "child should die at the crash point";
+
+  auto resumed = cfg;
+  resumed.checkpoint.dir = dir;
+  resumed.checkpoint.resume = true;
+  SimResult res;
+  const auto got = run_engine(Engine::socket, resumed, res);
+  EXPECT_EQ(got, expected);
+  expect_same_costs(base_res, res);
+  EXPECT_GT(res.recovery.resume_epoch, 0u);
+  EXPECT_EQ(digest_of(res, got), kGoldenPlain);
+}
+
 // --- Parallel simulator: resume + coordinated rollback ----------------------
 
 void par_cancel_resume_case(em::IoEngine engine, bool recovery,

@@ -1,8 +1,12 @@
 // Layout planner tests: parity of the extracted planner against the
 // arithmetic that used to live inline in the simulators, the typed
 // LayoutError bound diagnostics, the multi-level (hierarchical) group
-// schedule's equivalence with the flat schedule, and auto-tuning.
+// schedule's equivalence with the flat schedule and its composition with
+// recovery and checkpointing, and auto-tuning.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <filesystem>
 
 #include "bsp/direct_runtime.hpp"
 #include "net/transport.hpp"
@@ -10,6 +14,7 @@
 #include "sim/dist_simulator.hpp"
 #include "sim/par_simulator.hpp"
 #include "sim/seq_simulator.hpp"
+#include "sim_digest.hpp"
 #include "test_programs.hpp"
 
 namespace embsp::sim {
@@ -320,17 +325,100 @@ TEST(MultiLevel, OversizedInputRunsToCompletion) {
   EXPECT_GT(res.routing_stats.distribute_cycles, 0u);
 }
 
-TEST(MultiLevel, RejectsRecoveryComposition) {
-  // Superstep recovery / checkpointing do not compose with the two-level
-  // schedule yet; the simulator must say so up front, not corrupt state.
-  IrregularProgram prog;
+/// The two-level config below with superstep recovery on: leaf groups of
+/// 8 under M = 1 KiB, super-groups of 16.
+SimConfig two_level_recovery_config() {
   auto cfg = layout_config(32, 2, 128, 1024, 124, 4096, 16);
   cfg.superstep_recovery = true;
+  return cfg;
+}
+
+std::vector<std::byte> cost_bytes(const SimResult& r) {
+  util::Writer w;
+  w.write_vector(r.costs.supersteps);
+  return w.take();
+}
+
+TEST(MultiLevel, ComposesWithSuperstepRecovery) {
+  // A burst on disk 0 that outlasts the retry budget, mid-run: the
+  // enclosing recovery unit rolls back — allocators, message chains (the
+  // distribution scratch is rebuilt from the arena) and the journaled
+  // context epoch — and re-executes to the undisturbed run's answer.
+  IrregularProgram prog;
+  const auto cfg = two_level_recovery_config();
+  ASSERT_TRUE(LayoutPlanner::plan(cfg, 32).hierarchical());
+  SimResult clean_res;
+  const auto clean = run_seq_states(prog, cfg, clean_res);
+  const std::uint64_t disk0_calls =
+      (clean_res.total_io.blocks_read + clean_res.total_io.blocks_written) /
+      2;
+  ASSERT_GT(disk0_calls, 40u);
+
+  for (const std::uint64_t at : {disk0_calls / 4, disk0_calls / 2}) {
+    auto hostile = cfg;
+    hostile.faults.seed = 5;
+    hostile.faults.bursts.push_back(
+        {0u, at, static_cast<std::uint64_t>(hostile.retry.max_attempts)});
+    SimResult res;
+    const auto got = run_seq_states(prog, hostile, res);
+    EXPECT_EQ(got, clean) << "burst at call " << at;
+    EXPECT_EQ(cost_bytes(res), cost_bytes(clean_res)) << "burst at " << at;
+    EXPECT_EQ(res.recovery.io_giveups, 1u) << "burst at call " << at;
+    EXPECT_EQ(res.recovery.total_rollbacks(), 1u) << "burst at call " << at;
+  }
+}
+
+/// IrregularProgram that raises `flag` during superstep 1.
+struct CancelingIrregular {
+  IrregularProgram inner;
+  std::atomic<bool>* flag = nullptr;
+
+  using State = IrregularProgram::State;
+
+  bool superstep(std::size_t step, const bsp::ProcEnv& env, State& s,
+                 const bsp::Inbox& in, bsp::Outbox& out) const {
+    if (flag != nullptr && step == 1) {
+      flag->store(true, std::memory_order_relaxed);
+    }
+    return inner.superstep(step, env, s, in, out);
+  }
+};
+
+std::uint64_t two_level_digest(const SimConfig& cfg,
+                               std::atomic<bool>* flag = nullptr) {
+  std::vector<std::vector<std::byte>> states(cfg.machine.bsp.v);
   SeqSimulator sim(cfg);
-  EXPECT_THROW(sim.run<IrregularProgram>(
-                   prog, [](std::uint32_t) { return IrregularProgram::State{}; },
-                   [](std::uint32_t, IrregularProgram::State&) {}),
-               LayoutError);
+  const SimResult r = sim.run<CancelingIrregular>(
+      CancelingIrregular{{}, flag},
+      [](std::uint32_t) { return IrregularProgram::State{}; },
+      [&](std::uint32_t pid, IrregularProgram::State& s) {
+        util::Writer w;
+        s.serialize(w);
+        states[pid] = w.take();
+      });
+  return embsp::testing::run_digest(r, states);
+}
+
+TEST(MultiLevel, CancelThenResumeMatchesUninterrupted) {
+  // The checkpoint record carries the super-group arena; the distribution
+  // scratch is re-cut from it after the restore.
+  const auto cfg = two_level_recovery_config();
+  const auto uninterrupted = two_level_digest(cfg);
+
+  const auto dir =
+      std::filesystem::temp_directory_path() / "embsp_ckpt_two_level";
+  std::filesystem::remove_all(dir);
+  auto killed = cfg;
+  killed.checkpoint.dir = dir.string();
+  std::atomic<bool> cancel{false};
+  killed.cancel = &cancel;
+  EXPECT_THROW(two_level_digest(killed, &cancel), CanceledError);
+
+  auto resumed = cfg;
+  resumed.checkpoint.dir = dir.string();
+  resumed.checkpoint.resume = true;
+  EXPECT_EQ(two_level_digest(resumed), uninterrupted);
+  std::filesystem::remove_all(dir);
 }
 
 // --- auto-tuning -------------------------------------------------------------
@@ -379,6 +467,43 @@ TEST(AutoTune, PipelinedAdaptsComputeWidthWithoutChangingResults) {
   // apply_auto_tune widened the pool, and the tuner exported its state.
   EXPECT_GE(rec.registry.gauge("sim.layout.compute_width"), 1.0);
   EXPECT_GE(rec.registry.gauge("sim.layout.replans"), 0.0);
+}
+
+TEST(AutoTune, PipelinedTwoProcessorsMatchUntunedRun) {
+  // The tuner runs in the rank loop at every p: each rank re-plans its own
+  // compute width, and results and model costs do not move.
+  IrregularProgram prog;
+  auto cfg = layout_config(16, 4, 128, 1 << 16, 64, 4096);
+  cfg.machine.p = 2;
+  cfg.pipeline = true;
+  cfg.io_engine = em::IoEngine::parallel;
+  cfg.compute_threads = 2;
+  const auto run = [&](const SimConfig& c, SimResult& res) {
+    std::vector<std::uint64_t> sums(16);
+    ParSimulator sim(c);
+    res = sim.run<IrregularProgram>(
+        prog, [](std::uint32_t) { return IrregularProgram::State{}; },
+        [&](std::uint32_t vp, IrregularProgram::State& s) {
+          sums[vp] = s.checksum;
+        });
+    return sums;
+  };
+  SimResult plain_res;
+  const auto plain = run(cfg, plain_res);
+
+  obs::Recorder rec;
+  auto tuned_cfg = cfg;
+  tuned_cfg.auto_tune = true;
+  tuned_cfg.recorder = &rec;
+  SimResult tuned_res;
+  const auto tuned = run(tuned_cfg, tuned_res);
+
+  EXPECT_EQ(plain, tuned);
+  EXPECT_EQ(cost_bytes(plain_res), cost_bytes(tuned_res));
+  EXPECT_EQ(plain_res.total_io.parallel_ios, tuned_res.total_io.parallel_ios);
+  EXPECT_GE(rec.registry.gauge("sim.layout.compute_width"), 1.0);
+  EXPECT_GE(rec.registry.gauge("sim.layout.replans"), 0.0);
+  EXPECT_DOUBLE_EQ(rec.registry.gauge("sim.layout.auto_tuned"), 1.0);
 }
 
 TEST(GroupTuner, AdaptsToStallFraction) {

@@ -150,7 +150,9 @@ TEST(ParSimulator, BigMessageCrossesProcessors) {
 }
 
 TEST(ParSimulator, SingleProcessorDegenerate) {
-  // p = 1 through the parallel code path must agree with the direct runtime.
+  // p = 1 through the parallel code path must agree with the direct
+  // runtime.  One rank runs Algorithm 1, so the golden here is the one the
+  // standalone sequential simulator recorded for this config.
   PrefixSumProgram prog;
   expect_equivalent(prog, par_config(1, 8, 2, 128, 64, 400),
                     [](std::uint32_t pid) {
@@ -158,7 +160,7 @@ TEST(ParSimulator, SingleProcessorDegenerate) {
                       s.value = pid;
                       return s;
                     },
-                    0xf69ebbe032743aa5ULL);
+                    0x95c86d5975dd5464ULL);
 }
 
 TEST(ParSimulator, DeterministicAcrossRuns) {
@@ -231,6 +233,72 @@ TEST(ParSimulator, RealCommunicationMetered) {
   EXPECT_EQ(embsp::testing::run_digest(result, {}), 0x70d92b10e30cf982ULL);
   // The all-to-all pattern must move real bytes between real processors.
   EXPECT_GT(result.real_comm_bytes, 0u);
+}
+
+
+/// Every processor sends to its right neighbour in the one superstep it
+/// runs, then stops: nobody is left to receive.
+struct SendsInFinalSuperstep {
+  struct State {
+    void serialize(util::Writer&) const {}
+    void deserialize(util::Reader&) {}
+  };
+  bool superstep(std::size_t, const bsp::ProcEnv& env, State&,
+                 const bsp::Inbox&, bsp::Outbox& out) const {
+    out.send_value<std::uint64_t>((env.pid + 1) % env.nprocs, env.pid);
+    return false;
+  }
+};
+
+void expect_undelivered_error(const std::function<void()>& run,
+                              const std::string& tag) {
+  try {
+    run();
+    ADD_FAILURE() << tag << ": messages of the final superstep were dropped";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "messages sent in the final superstep were never received"),
+              std::string::npos)
+        << tag << ": " << e.what();
+  }
+}
+
+TEST(FinalSuperstep, UndeliveredMessagesThrowAtEveryP) {
+  SendsInFinalSuperstep prog;
+  const auto make = [](std::uint32_t) {
+    return SendsInFinalSuperstep::State{};
+  };
+  const auto sink = [](std::uint32_t, SendsInFinalSuperstep::State&) {};
+  expect_undelivered_error(
+      [&] {
+        ParSimulator sim(par_config(1, 8, 2, 128, 64, 400));
+        sim.run<SendsInFinalSuperstep>(prog, make, sink);
+      },
+      "p = 1");
+  expect_undelivered_error(
+      [&] {
+        ParSimulator sim(par_config(2, 8, 2, 128, 64, 400));
+        sim.run<SendsInFinalSuperstep>(prog, make, sink);
+      },
+      "ParSimulator p = 2");
+  // Over a loopback mesh every rank throws the same error on its own.
+  const auto cfg = par_config(2, 8, 2, 128, 64, 400);
+  auto eps = net::make_loopback_group(2);
+  std::vector<std::string> errors(2);
+  run_ranks(eps, [&](std::uint32_t me, net::Transport& tp) {
+    try {
+      DistSimulator sim(cfg, tp);
+      sim.run<SendsInFinalSuperstep>(prog, make, sink);
+    } catch (const std::exception& e) {
+      errors[me] = e.what();
+    }
+  });
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    EXPECT_NE(errors[r].find(
+                  "messages sent in the final superstep were never received"),
+              std::string::npos)
+        << "loopback rank " << r << ": " << errors[r];
+  }
 }
 
 }  // namespace

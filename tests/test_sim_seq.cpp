@@ -1,8 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
+
 #include "bsp/direct_runtime.hpp"
+#include "cgm/graph_components.hpp"
+#include "cgm/graph_list_ranking.hpp"
+#include "cgm/runner.hpp"
+#include "cgm/sort.hpp"
+#include "em/backend.hpp"
 #include "sim/seq_simulator.hpp"
+#include "sim_digest.hpp"
 #include "test_programs.hpp"
+#include "util/workloads.hpp"
 
 namespace embsp::sim {
 namespace {
@@ -318,6 +328,265 @@ TEST(SeqSimulator, MeasuredRequirementsHelper) {
       });
   EXPECT_EQ(result.lambda(), 4u);
   for (auto n : sizes) EXPECT_EQ(n, 4u);  // 1 initial + 3 hops appended
+}
+
+
+// --- Golden digests of the p = 1 loop ---------------------------------------
+//
+// run_digest (tests/sim_digest.hpp) of p = 1 runs over a grid of layouts,
+// engines, routing modes, fault schedules, a cancel/resume and three cgm
+// drivers, recorded from the standalone sequential simulator that predates
+// the rank loop's p = 1 path (with its empty per_proc_io read as
+// {total_io}, the one entry per real processor it documents).  A mismatch
+// means results, SuperstepCosts, IoStats, the phase breakdown, routing
+// statistics or the fault history changed.
+
+/// Flat plan: 32 virtual processors in groups of 4 over 4 disks.
+SimConfig golden_flat() {
+  SimConfig cfg = small_config(32, 4, 128, 124, 4096);
+  cfg.machine.em.M = 1 << 16;
+  cfg.k = 4;
+  return cfg;
+}
+
+/// Two-level plan: k = 16 contexts never fit M = 1 KiB at once, so leaf
+/// groups of 8 walk the contexts while messages route per super-group.
+SimConfig golden_two_level() {
+  SimConfig cfg = small_config(32, 2, 128, 124, 4096);
+  cfg.machine.em.M = 1024;
+  cfg.k = 16;
+  return cfg;
+}
+
+SimConfig golden_pipelined(SimConfig cfg) {
+  cfg.pipeline = true;
+  cfg.io_engine = em::IoEngine::parallel;
+  cfg.compute_threads = 4;
+  return cfg;
+}
+
+SimConfig golden_faulty(SimConfig cfg) {
+  cfg.faults.seed = 2024;
+  cfg.faults.read_error_rate = 0.01;
+  cfg.faults.write_error_rate = 0.01;
+  cfg.faults.torn_write_rate = 0.005;
+  cfg.faults.bit_flip_rate = 0.005;
+  cfg.block_checksums = true;
+  return cfg;
+}
+
+/// Transient faults plus one burst on disk 0 that outlasts the retry
+/// budget: the enclosing recovery unit gives up once and re-executes.
+SimConfig golden_giveup(SimConfig cfg) {
+  cfg = golden_faulty(cfg);
+  cfg.faults.bursts.push_back(
+      {0u, 60u, static_cast<std::uint64_t>(cfg.retry.max_attempts)});
+  cfg.superstep_recovery = true;
+  return cfg;
+}
+
+/// IrregularProgram that raises `flag` during superstep `cancel_at`; with
+/// a null flag it is the plain program.
+struct CancelingIrregular {
+  IrregularProgram inner;
+  std::atomic<bool>* flag = nullptr;
+  std::size_t cancel_at = 0;
+
+  using State = IrregularProgram::State;
+
+  bool superstep(std::size_t step, const bsp::ProcEnv& env, State& s,
+                 const bsp::Inbox& in, bsp::Outbox& out) const {
+    if (flag != nullptr && step == cancel_at) {
+      flag->store(true, std::memory_order_relaxed);
+    }
+    return inner.superstep(step, env, s, in, out);
+  }
+};
+
+std::uint64_t seq_digest(
+    const SimConfig& cfg, SimResult* out = nullptr,
+    std::function<std::unique_ptr<em::Backend>(std::size_t)> backend =
+        nullptr,
+    std::atomic<bool>* flag = nullptr) {
+  std::vector<std::vector<std::byte>> states(cfg.machine.bsp.v);
+  SeqSimulator sim(cfg, std::move(backend));
+  SimResult r = sim.run<CancelingIrregular>(
+      CancelingIrregular{{}, flag, 1},
+      [](std::uint32_t) { return IrregularProgram::State{}; },
+      [&](std::uint32_t pid, IrregularProgram::State& s) {
+        util::Writer w;
+        s.serialize(w);
+        states[pid] = w.take();
+      });
+  EXPECT_EQ(r.per_proc_io.size(), 1u);
+  const auto d = embsp::testing::run_digest(r, states);
+  if (out != nullptr) *out = std::move(r);
+  return d;
+}
+
+std::unique_ptr<em::Backend> memory_drive(std::size_t) {
+  return std::make_unique<em::MemoryBackend>();
+}
+
+struct GoldenCase {
+  const char* name;
+  SimConfig cfg;
+  std::uint64_t golden;
+  bool memory_drives = false;
+};
+
+void expect_goldens(const std::vector<GoldenCase>& cases) {
+  for (const auto& c : cases) {
+    const auto d = seq_digest(
+        c.cfg, nullptr,
+        c.memory_drives ? std::function<std::unique_ptr<em::Backend>(
+                              std::size_t)>(memory_drive)
+                        : nullptr);
+    EXPECT_EQ(d, c.golden) << c.name << ": 0x" << std::hex << d;
+  }
+}
+
+SimConfig with_routing(SimConfig cfg, RoutingMode mode) {
+  cfg.routing = mode;
+  if (mode == RoutingMode::automatic) cfg.machine.em.M = 1 << 20;
+  return cfg;
+}
+
+SimConfig with_engine(SimConfig cfg, em::IoEngine engine) {
+  cfg.io_engine = engine;
+  return cfg;
+}
+
+TEST(SeqGolden, FlatPlanRoutingModes) {
+  const auto f = golden_flat();
+  expect_goldens({
+      {"compact", f, 0xac412aac280412a8ULL},
+      {"padded", with_routing(f, RoutingMode::padded), 0xa9c8dd675569549aULL},
+      {"deterministic", with_routing(f, RoutingMode::deterministic),
+       0x2ffb782abe3217aaULL},
+      {"automatic", with_routing(f, RoutingMode::automatic),
+       0x67708695de040daeULL},
+  });
+}
+
+TEST(SeqGolden, FlatPlanEngines) {
+  const auto f = golden_flat();
+  expect_goldens({
+      {"pipelined", golden_pipelined(f), 0xac412aac280412a8ULL},
+      {"pipelined automatic",
+       golden_pipelined(with_routing(f, RoutingMode::automatic)),
+       0x67708695de040daeULL},
+      {"uring over memory", with_engine(f, em::IoEngine::uring),
+       0xac412aac280412a8ULL, true},
+      {"uring over memory pipelined",
+       with_engine(golden_pipelined(f), em::IoEngine::uring),
+       0xac412aac280412a8ULL, true},
+  });
+}
+
+TEST(SeqGolden, TwoLevelPlan) {
+  const auto t = golden_two_level();
+  ASSERT_TRUE(LayoutPlanner::plan(t, 32).hierarchical());
+  ASSERT_TRUE(LayoutPlanner::plan(golden_pipelined(t), 32).hierarchical());
+  expect_goldens({
+      {"compact", t, 0xf92b2381aa23fce4ULL},
+      {"padded", with_routing(t, RoutingMode::padded), 0x02d4181805c6dac6ULL},
+      {"deterministic", with_routing(t, RoutingMode::deterministic),
+       0x17388be8dc5c0d1dULL},
+      {"pipelined", golden_pipelined(t), 0x3b2e7104164d9296ULL},
+      {"uring over memory", with_engine(t, em::IoEngine::uring),
+       0xf92b2381aa23fce4ULL, true},
+      {"transient faults", golden_faulty(t), 0x0c81f65f0d818ec4ULL},
+  });
+}
+
+TEST(SeqGolden, TransientAndGiveupFaultsWithRecovery) {
+  const auto f = golden_flat();
+  SimResult serial, piped;
+  EXPECT_EQ(seq_digest(golden_giveup(f), &serial), 0xec3a27d0e317bd7aULL);
+  EXPECT_EQ(seq_digest(golden_pipelined(golden_giveup(f)), &piped),
+            0x48347ca95a58c33fULL);
+  for (const auto* r : {&serial, &piped}) {
+    EXPECT_EQ(r->recovery.io_giveups, 1u);
+    EXPECT_EQ(r->recovery.total_rollbacks(), 1u);
+    EXPECT_GT(r->recovery.io_retries, 1u);
+  }
+}
+
+TEST(SeqGolden, CancelThenResume) {
+  for (const bool pipe : {false, true}) {
+    auto cfg = golden_faulty(golden_flat());
+    cfg.superstep_recovery = true;
+    if (pipe) cfg = golden_pipelined(cfg);
+    const auto uninterrupted = seq_digest(cfg);
+    EXPECT_EQ(uninterrupted,
+              pipe ? 0x66d664c3810335bfULL : 0x91e1dd42d8e5cfa5ULL)
+        << "pipelined=" << pipe;
+
+    const auto dir = std::filesystem::temp_directory_path() /
+                     ("embsp_seq_golden_" + std::to_string(pipe));
+    std::filesystem::remove_all(dir);
+    auto killed = cfg;
+    killed.checkpoint.dir = dir.string();
+    std::atomic<bool> cancel{false};
+    killed.cancel = &cancel;
+    EXPECT_THROW(seq_digest(killed, nullptr, nullptr, &cancel),
+                 CanceledError);
+    auto resumed = cfg;
+    resumed.checkpoint.dir = dir.string();
+    resumed.checkpoint.resume = true;
+    SimResult r;
+    EXPECT_EQ(seq_digest(resumed, &r), uninterrupted) << "pipelined=" << pipe;
+    EXPECT_GT(r.recovery.resume_epoch, 0u);
+    std::filesystem::remove_all(dir);
+  }
+}
+
+/// run_digest of a cgm driver run: the output vector is the "state".
+std::uint64_t cgm_digest(const cgm::ExecResult& exec,
+                         const std::vector<std::uint64_t>& output) {
+  EXPECT_TRUE(exec.sim.has_value());
+  EXPECT_EQ(exec.sim->per_proc_io.size(), 1u);
+  util::Writer w;
+  w.write_vector(output);
+  return embsp::testing::run_digest(*exec.sim, {w.take()});
+}
+
+SimConfig cgm_config() {
+  SimConfig cfg;
+  cfg.machine.p = 1;
+  cfg.machine.em.D = 4;
+  cfg.machine.em.B = 256;
+  cfg.machine.em.M = 1 << 18;
+  return cfg;
+}
+
+TEST(SeqGolden, CgmSortListRankingComponents) {
+  {
+    const auto keys = util::random_keys(3000, 5);
+    cgm::SeqEmExec exec(cgm_config());
+    const auto out =
+        cgm::cgm_sort<std::uint64_t, std::less<>>(exec, keys, 16);
+    auto want = keys;
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(out.sorted, want);
+    const auto d = cgm_digest(out.exec, out.sorted);
+    EXPECT_EQ(d, 0xa0edbf426e5ae931ULL) << "sort: 0x" << std::hex << d;
+  }
+  {
+    const auto [succ, head] = util::random_list(2000, 9);
+    cgm::SeqEmExec exec(cgm_config());
+    const auto out = cgm::cgm_list_ranking(exec, succ, 16);
+    const auto d = cgm_digest(out.exec, out.rank1);
+    EXPECT_EQ(d, 0xe84bf3be49e8ac9eULL) << "list ranking: 0x" << std::hex << d;
+  }
+  {
+    const auto edges = util::random_graph(1500, 1200, 3);
+    cgm::SeqEmExec exec(cgm_config());
+    const auto out = cgm::cgm_connected_components(exec, 1500, edges, 16);
+    const auto d = cgm_digest(out.exec, out.component);
+    EXPECT_EQ(d, 0x1e3e1f2a159b4a5cULL) << "components: 0x" << std::hex << d;
+  }
 }
 
 }  // namespace

@@ -679,9 +679,6 @@ int run_workload(const Options& opt, Fn fn) {
       rc = run_loopback(opt, cfg, fn);
     } else if (opt.transport == "socket") {
       rc = run_socket(opt, cfg, fn);
-    } else if (opt.p == 1) {
-      cgm::SeqEmExec exec(cfg);
-      rc = fn(exec, opt);
     } else {
       cgm::ParEmExec exec(cfg);
       rc = fn(exec, opt);
