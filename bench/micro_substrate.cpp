@@ -7,13 +7,16 @@
 // vs the arena/MessageRef message path, and backend calls (syscalls on
 // FileBackend) with track coalescing off vs on — and writes them to
 // BENCH_micro_substrate.json so the copy/syscall reductions are plottable
-// without scraping benchmark output.
+// without scraping benchmark output.  The artifact also records the wall
+// clock of the sort's local kernels (cgm/sort_kernel.hpp) next to the
+// std::stable_sort and inplace_merge-cascade versions they replaced.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <filesystem>
 
 #include "bench_util.hpp"
+#include "cgm/sort_kernel.hpp"
 #include "em/disk_array.hpp"
 #include "em/uring_backend.hpp"
 #include "em/linked_buckets.hpp"
@@ -24,6 +27,7 @@
 #include "sim/routing.hpp"
 #include "util/arena.hpp"
 #include "util/rng.hpp"
+#include "util/workloads.hpp"
 
 namespace {
 
@@ -351,6 +355,74 @@ void BM_FileBatchIoCoalesced(benchmark::State& state) {
 BENCHMARK(BM_FileBatchIoScalar);
 BENCHMARK(BM_FileBatchIoCoalesced);
 
+// --- Sort kernel: SortEngine's local phases ---------------------------------
+// Superstep 0 sorts a slab of c records; superstep 3 merges the v sorted
+// runs a processor receives.  Sized like the repository benchmark's
+// sort_file (8M keys over v = 64): c = 125,000, v = 64.
+
+constexpr std::size_t kSortSlab = 125'000;
+constexpr std::uint32_t kSortRuns = 64;
+
+/// One processor's step-3 input: c random keys cut into v sorted runs.
+struct ReceivedRuns {
+  std::vector<std::uint64_t> data;
+  std::vector<std::size_t> bounds;
+};
+
+ReceivedRuns make_received_runs() {
+  ReceivedRuns r{util::random_keys(kSortSlab, 21), {0}};
+  for (std::uint32_t i = 1; i <= kSortRuns; ++i) {
+    r.bounds.push_back(i * kSortSlab / kSortRuns);
+    std::sort(r.data.begin() + r.bounds[i - 1], r.data.begin() + r.bounds[i]);
+  }
+  return r;
+}
+
+void sort_radix(std::vector<std::uint64_t>& data) {
+  cgm::local_sort(data, std::less<>{});
+}
+void sort_stable(std::vector<std::uint64_t>& data) {
+  std::stable_sort(data.begin(), data.end());
+}
+void merge_pairwise(ReceivedRuns& r) {
+  cgm::merge_runs(r.data, r.bounds, std::less<>{});
+}
+/// The cascade of std::inplace_merge calls merge_runs replaced.
+void merge_cascade(ReceivedRuns& r) {
+  for (std::size_t i = 2; i < r.bounds.size(); ++i) {
+    std::inplace_merge(r.data.begin(), r.data.begin() + r.bounds[i - 1],
+                       r.data.begin() + r.bounds[i]);
+  }
+}
+
+template <void (*Sort)(std::vector<std::uint64_t>&)>
+void BM_SortLocal(benchmark::State& state) {
+  const auto keys = util::random_keys(kSortSlab, 20);
+  for (auto _ : state) {
+    auto data = keys;
+    Sort(data);
+    benchmark::DoNotOptimize(data.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kSortSlab));
+}
+BENCHMARK(BM_SortLocal<sort_radix>)->Name("BM_SortLocalRadix");
+BENCHMARK(BM_SortLocal<sort_stable>)->Name("BM_SortLocalStable");
+
+template <void (*Merge)(ReceivedRuns&)>
+void BM_SortMerge(benchmark::State& state) {
+  const auto runs = make_received_runs();
+  for (auto _ : state) {
+    auto r = runs;
+    Merge(r);
+    benchmark::DoNotOptimize(r.data.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kSortSlab));
+}
+BENCHMARK(BM_SortMerge<merge_pairwise>)->Name("BM_SortMergePairwise");
+BENCHMARK(BM_SortMerge<merge_cascade>)->Name("BM_SortMergeCascade");
+
 // --- BENCH_micro_substrate.json artifact -------------------------------------
 
 /// Counts backend entry points: each read/write/read_vec/write_vec is one
@@ -541,6 +613,38 @@ void emit_artifact() {
       artifact.metric("fixed_ops", static_cast<double>(u.fixed_ops));
       artifact.metric("bounced_bytes", static_cast<double>(u.bounced_bytes));
     }
+  }
+
+  // Sort kernel: wall clock of SortEngine's local phases at c records and
+  // v runs, the shipped kernels next to the ones they replaced.
+  {
+    const auto keys = util::random_keys(kSortSlab, 20);
+    const auto runs = make_received_runs();
+    const auto sort_ns = [&](void (*sort)(std::vector<std::uint64_t>&)) {
+      return timed_ns(
+          [&] {
+            auto data = keys;
+            sort(data);
+            benchmark::DoNotOptimize(data.data());
+          },
+          5);
+    };
+    const auto merge_ns = [&](void (*merge)(ReceivedRuns&)) {
+      return timed_ns(
+          [&] {
+            auto r = runs;
+            merge(r);
+            benchmark::DoNotOptimize(r.data.data());
+          },
+          5);
+    };
+    artifact.begin_case("sort_kernel");
+    artifact.metric("records", static_cast<double>(kSortSlab));
+    artifact.metric("runs", static_cast<double>(kSortRuns));
+    artifact.metric("local_radix_ns", sort_ns(sort_radix));
+    artifact.metric("local_stable_ns", sort_ns(sort_stable));
+    artifact.metric("merge_pairwise_ns", merge_ns(merge_pairwise));
+    artifact.metric("merge_cascade_ns", merge_ns(merge_cascade));
   }
 
   const auto path = artifact.write();

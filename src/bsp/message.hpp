@@ -19,7 +19,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "util/arena.hpp"
@@ -80,6 +82,22 @@ class Inbox {
     return r.read_vector<T>();
   }
 
+  /// Append message i's send_vector payload to `out`, with no temporary
+  /// vector in between.
+  template <typename T>
+    requires std::is_trivially_copyable_v<T>
+  void append_vector(std::size_t i, std::vector<T>& out) const {
+    util::Reader r(messages_[i].payload);
+    const auto n = r.read<std::uint64_t>();
+    if (n > r.remaining() / sizeof(T)) {
+      throw std::out_of_range("Inbox::append_vector: truncated payload");
+    }
+    const auto bytes = r.read_bytes(n * sizeof(T));
+    const std::size_t at = out.size();
+    out.resize(at + n);
+    if (n != 0) std::memcpy(out.data() + at, bytes.data(), bytes.size());
+  }
+
  private:
   std::vector<Message> owned_;  ///< backing storage for the owning ctor
   std::vector<MessageRef> messages_;
@@ -103,9 +121,10 @@ class Outbox {
     std::memcpy(dst_span.data(), &value, sizeof(T));
   }
 
+  /// Enqueue `v` in the format Inbox::vector and Inbox::append_vector read.
   template <typename T>
     requires std::is_trivially_copyable_v<T>
-  void send_vector(std::uint32_t dst, const std::vector<T>& v) {
+  void send_vector(std::uint32_t dst, std::span<const T> v) {
     const std::uint64_t n = v.size();
     auto dst_span = reserve(dst, sizeof(n) + v.size() * sizeof(T));
     std::memcpy(dst_span.data(), &n, sizeof(n));
@@ -113,6 +132,12 @@ class Outbox {
       std::memcpy(dst_span.data() + sizeof(n), v.data(),
                   v.size() * sizeof(T));
     }
+  }
+
+  template <typename T>
+    requires std::is_trivially_copyable_v<T>
+  void send_vector(std::uint32_t dst, const std::vector<T>& v) {
+    send_vector(dst, std::span<const T>(v));
   }
 
   [[nodiscard]] std::size_t total_bytes() const { return total_bytes_; }

@@ -29,6 +29,7 @@
 
 #include "bsp/program.hpp"
 #include "cgm/runner.hpp"
+#include "cgm/sort_kernel.hpp"
 
 namespace embsp::cgm {
 
@@ -54,7 +55,7 @@ struct SortEngine {
     const std::uint32_t v = env.nprocs;
     switch (local_step) {
       case 0: {
-        std::stable_sort(data.begin(), data.end(), less);
+        local_sort(data, less);
         env.charge(data.size() ? data.size() * 8 : 1);
         std::vector<Rec> samples;
         samples.reserve(v);
@@ -143,8 +144,8 @@ struct SortEngine {
                   1;
           }
           if (end > begin) {
-            std::vector<Rec> run(data.begin() + begin, data.begin() + end);
-            out.send_vector(q, run);
+            out.send_vector(
+                q, std::span<const Rec>(data).subspan(begin, end - begin));
           }
           begin = end;
         }
@@ -153,15 +154,15 @@ struct SortEngine {
       }
       case 3: {
         // Runs arrive sorted per source and the inbox is (src, seq)-sorted;
-        // cascade-merge them.
+        // append them and merge pairwise (ties in source order).
         data.clear();
+        data.reserve(in.total_bytes() / sizeof(Rec));
+        std::vector<std::size_t> bounds{0};
         for (std::size_t i = 0; i < in.count(); ++i) {
-          auto run = in.vector<Rec>(i);
-          const std::size_t mid = data.size();
-          data.insert(data.end(), run.begin(), run.end());
-          std::inplace_merge(data.begin(), data.begin() + mid, data.end(),
-                             less);
+          in.append_vector(i, data);
+          bounds.push_back(data.size());
         }
+        merge_runs(data, bounds, less);
         env.charge(data.size() * 4 + 1);
         break;
       }

@@ -1177,8 +1177,10 @@ SimResult DistSimulator::run(
                       static_cast<double>(result.group_size));
         reg.set_gauge("sim.max_tracks_per_disk",
                       static_cast<double>(result.max_tracks_per_disk));
-        reg.set_gauge("sim.real_comm_bytes",
-                      static_cast<double>(result.real_comm_bytes));
+        if (!local) {
+          reg.set_gauge("sim.real_comm_bytes",
+                        static_cast<double>(result.real_comm_bytes));
+        }
         reg.set_gauge("sim.overlap_ratio", result.overlap_ratio);
         // Worst peak arena residency over all ranks.
         reg.set_gauge("sim.arena_bytes", static_cast<double>(arena_peak));
@@ -1192,7 +1194,8 @@ SimResult DistSimulator::run(
                                                             : 1));
         }
       }
-      tp_->export_metrics(reg);
+      // One rank exchanges only with itself: no wire traffic to report.
+      if (!local) tp_->export_metrics(reg);
     }
   } catch (const std::exception& e) {
     // Settle in-flight tokens before unwinding past their staging buffers,

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "bsp/cost_model.hpp"
 #include "bsp/direct_runtime.hpp"
 #include "bsp/message.hpp"
@@ -97,6 +99,30 @@ TEST(Message, TypedRoundTrip) {
   Inbox in(std::move(msgs));
   EXPECT_DOUBLE_EQ(in.value<double>(0), 2.5);
   EXPECT_EQ(in.vector<std::uint32_t>(1), (std::vector<std::uint32_t>{7, 8, 9}));
+}
+
+TEST(Message, SpanSendAndAppendVector) {
+  Outbox out(3, 8);
+  const std::vector<std::uint32_t> src{1, 2, 3, 4, 5};
+  out.send_vector(1, std::span<const std::uint32_t>(src).subspan(1, 3));
+  out.send_vector(1, std::vector<std::uint32_t>{});
+  Inbox in(out.take());
+  EXPECT_EQ(in.vector<std::uint32_t>(0), (std::vector<std::uint32_t>{2, 3, 4}));
+  std::vector<std::uint32_t> got{9};
+  in.append_vector(0, got);
+  in.append_vector(1, got);
+  EXPECT_EQ(got, (std::vector<std::uint32_t>{9, 2, 3, 4}));
+
+  // A length prefix that runs past the payload throws; its byte count
+  // (2^62 * 4) wraps to 0, so only an element-count check catches it.
+  std::vector<std::byte> bad(sizeof(std::uint64_t) + 4);
+  const std::uint64_t n = std::uint64_t{1} << 62;
+  std::memcpy(bad.data(), &n, sizeof(n));
+  std::vector<Message> msgs;
+  msgs.push_back({0, 0, 0, bad});
+  Inbox truncated(std::move(msgs));
+  EXPECT_THROW(truncated.append_vector(0, got), std::out_of_range);
+  EXPECT_EQ(got.size(), 4u);
 }
 
 TEST(DirectRuntime, PrefixSumCorrect) {

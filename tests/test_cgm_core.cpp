@@ -10,6 +10,7 @@
 #include "cgm/sort.hpp"
 #include "cgm/transpose.hpp"
 #include "sim/trace.hpp"
+#include "sim_digest.hpp"
 
 #include <sstream>
 #include "util/workloads.hpp"
@@ -17,6 +18,8 @@
 namespace embsp::cgm {
 namespace {
 
+/// A comparator other than std::less: u64 sorts under it take the
+/// std::stable_sort path of the local sort instead of the radix sort.
 struct KeyLess {
   bool operator()(std::uint64_t a, std::uint64_t b) const { return a < b; }
 };
@@ -33,7 +36,7 @@ sim::SimConfig em_config(std::uint32_t p, std::size_t D, std::size_t B) {
 TEST(CgmSort, DirectSmall) {
   auto keys = util::random_keys(500, 1);
   DirectExec exec;
-  auto out = cgm_sort<std::uint64_t, KeyLess>(exec, keys, 8);
+  auto out = cgm_sort<std::uint64_t, std::less<>>(exec, keys, 8);
   auto want = keys;
   std::sort(want.begin(), want.end());
   EXPECT_EQ(out.sorted, want);
@@ -44,18 +47,19 @@ TEST(CgmSort, HandlesDuplicatesAndSortedInputs) {
   DirectExec exec;
   std::vector<std::uint64_t> dup(300, 7);
   for (std::size_t i = 0; i < dup.size(); i += 3) dup[i] = 3;
-  auto out = cgm_sort<std::uint64_t, KeyLess>(exec, dup, 6);
+  auto out = cgm_sort<std::uint64_t, std::less<>>(exec, dup, 6);
   auto want = dup;
   std::sort(want.begin(), want.end());
   EXPECT_EQ(out.sorted, want);
 
   std::vector<std::uint64_t> sorted(256);
   std::iota(sorted.begin(), sorted.end(), 0u);
-  EXPECT_EQ((cgm_sort<std::uint64_t, KeyLess>(exec, sorted, 8).sorted), sorted);
+  EXPECT_EQ((cgm_sort<std::uint64_t, std::less<>>(exec, sorted, 8).sorted),
+            sorted);
 
   auto reversed = sorted;
   std::reverse(reversed.begin(), reversed.end());
-  EXPECT_EQ((cgm_sort<std::uint64_t, KeyLess>(exec, reversed, 8).sorted),
+  EXPECT_EQ((cgm_sort<std::uint64_t, std::less<>>(exec, reversed, 8).sorted),
             sorted);
 }
 
@@ -64,22 +68,40 @@ TEST(CgmSort, SingleProcessorAndTinyInputs) {
   auto keys = util::random_keys(40, 2);
   auto want = keys;
   std::sort(want.begin(), want.end());
-  EXPECT_EQ((cgm_sort<std::uint64_t, KeyLess>(exec, keys, 1).sorted), want);
+  EXPECT_EQ((cgm_sort<std::uint64_t, std::less<>>(exec, keys, 1).sorted), want);
   // More processors than records.
   auto few = util::random_keys(5, 3);
   auto want_few = few;
   std::sort(want_few.begin(), want_few.end());
-  EXPECT_EQ((cgm_sort<std::uint64_t, KeyLess>(exec, few, 8).sorted), want_few);
+  EXPECT_EQ((cgm_sort<std::uint64_t, std::less<>>(exec, few, 8).sorted),
+            want_few);
   // Empty input.
-  EXPECT_TRUE((cgm_sort<std::uint64_t, KeyLess>(
+  EXPECT_TRUE((cgm_sort<std::uint64_t, std::less<>>(
                    exec, std::span<const std::uint64_t>{}, 4))
                   .sorted.empty());
+}
+
+TEST(CgmSort, CustomComparatorMatchesRadixPath) {
+  // std::less<> radix-sorts each slab, KeyLess stable-sorts it: the output,
+  // the charged SuperstepCosts and every I/O count agree.
+  auto keys = util::random_keys(3000, 9);
+  keys.resize(4000, 11);  // a run of duplicates
+  SeqEmExec radix_exec(em_config(1, 2, 256));
+  SeqEmExec stable_exec(em_config(1, 2, 256));
+  const auto radix = cgm_sort<std::uint64_t, std::less<>>(radix_exec, keys, 8);
+  const auto stable = cgm_sort<std::uint64_t, KeyLess>(stable_exec, keys, 8);
+  auto want = keys;
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(radix.sorted, want);
+  EXPECT_EQ(stable.sorted, want);
+  EXPECT_EQ(testing::run_digest(*radix.exec.sim, {}),
+            testing::run_digest(*stable.exec.sim, {}));
 }
 
 TEST(CgmSort, RegularSamplingBalances) {
   auto keys = util::random_keys(4096, 4);
   DirectExec exec;
-  auto out = cgm_sort<std::uint64_t, KeyLess>(exec, keys, 16);
+  auto out = cgm_sort<std::uint64_t, std::less<>>(exec, keys, 16);
   for (auto sz : out.slab_sizes) {
     EXPECT_LT(sz, 2 * 4096 / 16 + 64);  // regular sampling bound ~2n/v
   }
@@ -108,14 +130,14 @@ TEST_P(CgmSortEmSweep, MatchesStdSortOnEmMachines) {
 
     if (prm.p == 1) {
       SeqEmExec exec(em_config(1, prm.D, prm.B));
-      auto out = cgm_sort<std::uint64_t, KeyLess>(exec, keys, prm.v);
+      auto out = cgm_sort<std::uint64_t, std::less<>>(exec, keys, prm.v);
       EXPECT_EQ(out.sorted, want);
       EXPECT_EQ(out.exec.lambda, 4u);
       ASSERT_TRUE(out.exec.sim.has_value());
       EXPECT_GT(out.exec.sim->total_io.parallel_ios, 0u);
     } else {
       ParEmExec exec(em_config(prm.p, prm.D, prm.B));
-      auto out = cgm_sort<std::uint64_t, KeyLess>(exec, keys, prm.v);
+      auto out = cgm_sort<std::uint64_t, std::less<>>(exec, keys, prm.v);
       EXPECT_EQ(out.sorted, want);
       EXPECT_EQ(out.exec.lambda, 4u);
     }
@@ -246,7 +268,7 @@ TEST(CgmTranspose, OnParallelEmMachine) {
 TEST(CostTrace, CsvHasOneRowPerSuperstep) {
   auto keys = util::random_keys(2000, 77);
   SeqEmExec exec(em_config(1, 2, 256));
-  auto out = cgm_sort<std::uint64_t, KeyLess>(exec, keys, 8);
+  auto out = cgm_sort<std::uint64_t, std::less<>>(exec, keys, 8);
   std::ostringstream csv;
   sim::write_cost_csv(csv, *out.exec.sim);
   std::size_t lines = 0;
@@ -262,7 +284,7 @@ TEST(CgmSortStress, LargeInputAcrossExecutors) {
   const std::size_t n = 1 << 19;
   auto keys = util::random_keys(n, 1234);
   ParEmExec exec(em_config(4, 4, 4096));
-  auto out = cgm_sort<std::uint64_t, KeyLess>(exec, keys, 64);
+  auto out = cgm_sort<std::uint64_t, std::less<>>(exec, keys, 64);
   EXPECT_TRUE(std::is_sorted(out.sorted.begin(), out.sorted.end()));
   EXPECT_EQ(out.sorted.size(), n);
   EXPECT_EQ(out.exec.lambda, 4u);

@@ -24,6 +24,7 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace_events.hpp"
+#include "sim/par_simulator.hpp"
 #include "sim/seq_simulator.hpp"
 #include "test_programs.hpp"
 #include "util/rng.hpp"
@@ -673,6 +674,36 @@ TEST(ObsEndToEnd, SerialAndParallelEnginesByteIdenticalWithMetrics) {
             rec_p.registry.counter("phase.reorganize.parallel_ios"));
   EXPECT_EQ(rec_s.registry.counter("engine.disk.0.ops"),
             rec_p.registry.counter("engine.disk.0.ops"));
+}
+
+TEST(ObsEndToEnd, NetMetricsOnlyWhenRanksExchange) {
+  // One rank exchanges only with itself: its snapshot has no net.* key and
+  // no real-communication gauge.  Two loopback ranks export both.
+  using embsp::testing::PrefixSumProgram;
+  for (const std::uint32_t p : {1u, 2u}) {
+    obs::Recorder rec;
+    auto cfg = obs_config();
+    cfg.machine.p = p;
+    cfg.recorder = &rec;
+    sim::ParSimulator simr(cfg);
+    simr.run<PrefixSumProgram>(
+        PrefixSumProgram{},
+        [](std::uint32_t pid) {
+          PrefixSumProgram::State s;
+          s.value = pid + 1;
+          return s;
+        },
+        [](std::uint32_t, PrefixSumProgram::State&) {});
+    std::ostringstream json;
+    rec.registry.write_json(json);
+    const bool multi = p > 1;
+    EXPECT_EQ(json.str().find("\"net.") != std::string::npos, multi)
+        << "p = " << p;
+    EXPECT_EQ(json.str().find("\"sim.real_comm_bytes\"") != std::string::npos,
+              multi)
+        << "p = " << p;
+    EXPECT_EQ(rec.registry.counter("net.exchanges") > 0, multi) << "p = " << p;
+  }
 }
 
 /// Sequential EM executor over file-backed drives in a scratch directory.
